@@ -1,19 +1,17 @@
-"""Cluster scaling: throughput vs transport × ``--workers {1,2,4}``.
+"""Cluster scaling: throughput vs ``--workers {1,2,4}`` over worker pipes.
 
-The multiprocess tier exists to beat the GIL on multi-core hosts, but its
+The cluster tier exists to beat the GIL on multi-core hosts, but its
 *correctness* contract — merged scores bit-identical to the single-process
-engine on every transport (pipe, shm, tcp), including the ensemble
-max-over-bank reduction — must hold on any machine.  So this harness always
-asserts parity, and gates the scaling assertions on the host actually having
-more than one core: single-core CI still runs everything and records honest
-numbers (annotated as dispatch overhead), it just skips the throughput
-comparisons, which would only measure fork + carriage overhead there.
+engine, including the ensemble max-over-bank reduction — must hold on any
+machine.  So this harness always asserts parity, and gates the scaling
+assertions on the host actually having more than one core: single-core CI
+still runs everything and records honest numbers (annotated as dispatch
+overhead), it just skips the throughput comparisons, which would only
+measure fork + carriage overhead there.
 
-The dispatch micro-benchmark is the transport tier's headline claim and is
-asserted unconditionally: the shared-memory ring must move at least 10x
-fewer bytes through pipes per dispatch than the pipe transport at serving
-scale (D=4000, batch 64).  Its full result is committed as JSON next to the
-scaling table so the numbers backing the claim are inspectable.
+The dispatch micro-benchmark records the per-dispatch pipe cost at serving
+scale (D=4000, batch 64); its full result is committed as JSON next to the
+scaling table so the numbers are inspectable.
 """
 
 from __future__ import annotations
@@ -25,6 +23,7 @@ import pytest
 
 from benchmarks.conftest import RESULTS_DIR, print_report
 from repro.cluster.bench import (
+    MICROBENCH_HEADERS,
     format_microbench_rows,
     format_scaling_rows,
     run_cluster_scaling_benchmark,
@@ -42,11 +41,8 @@ MIN_MULTICORE_RELATIVE_RATE = 0.8
 #: CPUs exist to pin to).
 MIN_PINNED_TWO_WORKER_SPEEDUP = 1.5
 
-#: The committed shm claim: ≥10x fewer pipe bytes per dispatch than pipe.
-MIN_SHM_PIPE_BYTE_REDUCTION = 10.0
-
 WORKER_COUNTS = (1, 2, 4)
-TRANSPORTS = ("pipe", "shm", "tcp")
+TRANSPORTS = ("pipe",)
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +54,6 @@ def scaling_result():
         num_samples=256,
         batch_size=64,
         worker_counts=WORKER_COUNTS,
-        transports=TRANSPORTS,
         cpu_affinity="auto",
         seed=0,
     )
@@ -72,7 +67,6 @@ def microbench_result():
         num_classes=10,
         batch_size=64,
         k=10,
-        transports=TRANSPORTS,
         seed=0,
     )
 
@@ -104,7 +98,7 @@ def test_cluster_scaling_report(scaling_result):
 
 
 def test_merged_scores_are_bit_identical(scaling_result):
-    """Parity holds on every transport × worker count + the ensemble merge."""
+    """Parity holds on every worker count + the ensemble merge."""
     parity = scaling_result["parity"]
     for transport in TRANSPORTS:
         for count in WORKER_COUNTS:
@@ -118,18 +112,7 @@ def test_merged_scores_are_bit_identical(scaling_result):
 def test_dispatch_microbench_report(microbench_result):
     """Persist the per-dispatch cost table + the raw JSON behind the claim."""
     config = microbench_result["config"]
-    body = format_table(
-        [
-            "transport",
-            "us/dispatch",
-            "pipe B/disp",
-            "shm B/disp",
-            "socket B/disp",
-            "frames/disp",
-            "pipe-byte cut",
-        ],
-        format_microbench_rows(microbench_result),
-    )
+    body = format_table(MICROBENCH_HEADERS, format_microbench_rows(microbench_result))
     body += f"\nhost cpu count: {microbench_result['cpu_count']}"
     title = (
         f"Cluster dispatch micro-benchmark (D={config['dimension']}, "
@@ -145,15 +128,6 @@ def test_dispatch_microbench_report(microbench_result):
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(microbench_result, handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def test_shm_ring_cuts_pipe_bytes_10x(microbench_result):
-    """The shm ring moves ≥10x fewer bytes through pipes than pipe transport."""
-    reduction = microbench_result["pipe_byte_reduction"]["shm"]
-    assert reduction >= MIN_SHM_PIPE_BYTE_REDUCTION, (
-        f"shm transport only cut pipe bytes by {reduction:.1f}x "
-        f"(need >= {MIN_SHM_PIPE_BYTE_REDUCTION:.0f}x)"
-    )
 
 
 def test_multicore_scaling(scaling_result):

@@ -14,10 +14,10 @@ regenerated without writing any Python:
   saved model and evaluate it on a dataset's test split;
 * ``python -m repro serve --model model.npz --port 8080`` — serve saved
   models over JSON/HTTP with micro-batched packed inference
-  (``--workers N`` adds the multiprocess tier: N worker processes sharing
-  the packed model bank through shared memory, with ``--transport
-  {pipe,shm,tcp}`` choosing the shard data plane; ``--trace FILE`` writes
-  JSONL request traces, ``--log-level info`` enables the access log, and
+  (``--workers N`` adds the cluster tier: N worker processes sharing the
+  packed model bank through shared memory and receiving packed shards over
+  their pipes; ``--trace FILE`` writes JSONL request traces, ``--log-level
+  info`` enables the access log, and
   ``GET /metrics`` exposes Prometheus text format);
 * ``python -m repro loadgen --url http://host:8080`` — soak-test a serving
   endpoint (or an in-process app) with seeded, reproducible traffic:
@@ -32,10 +32,10 @@ regenerated without writing any Python:
   utilisation, fleet paging, breakers; ``--once --json`` for scripts;
 * ``python -m repro bench-serve`` — the serving throughput comparison
   (single-sample vs micro-batched, dense vs packed);
-* ``python -m repro bench-dispatch`` — the cluster-transport micro-benchmark
-  (per-dispatch wall time and exact bytes moved through pipe vs
-  shared-memory ring vs TCP socket, parity asserted bit-identical before
-  any timing); ``--quick`` for CI smoke;
+* ``python -m repro bench-dispatch`` — the cluster dispatch micro-benchmark
+  (per-dispatch wall time and exact bytes moved through the worker pipe,
+  parity asserted bit-identical before any timing); ``--quick`` for CI
+  smoke;
 * ``python -m repro bench-kernels`` — the kernel-layer benchmark (fused
   encode vs the seed loop, packed XOR+popcount predict vs dense dot,
   float32-policy training vs forced float64); ``--quick`` for CI smoke;
@@ -147,16 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--transport",
-        default="pipe",
-        choices=["pipe", "shm", "tcp"],
-        help=(
-            "cluster data plane for shard payloads when --workers > 1: "
-            "pickled pipes (default), shared-memory rings with control "
-            "frames on the pipe, or framed localhost TCP sockets"
-        ),
-    )
-    serve.add_argument(
         "--scheduler-threads",
         type=int,
         default=1,
@@ -174,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--kernel-backend",
         default=None,
-        choices=["numpy", "threaded", "multiprocess"],
+        choices=["numpy", "threaded"],
         help=(
             "kernel backend for the inference workers (overrides the "
             "REPRO_KERNEL_BACKEND environment variable; default: env, then numpy)"
@@ -345,12 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="worker processes for the in-process target (1 = single process)",
-    )
-    loadgen.add_argument(
-        "--transport",
-        default="pipe",
-        choices=["pipe", "shm", "tcp"],
-        help="cluster data plane for the in-process target when --workers > 1",
     )
     loadgen.add_argument("--max-batch-size", type=int, default=64)
     loadgen.add_argument("--max-wait-ms", type=float, default=2.0)
@@ -566,8 +550,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench_dispatch = subparsers.add_parser(
         "bench-dispatch",
         help=(
-            "per-dispatch transport micro-benchmark: bytes by carriage "
-            "(pipe/shm/socket), frames, wall time; parity asserted first"
+            "per-dispatch cluster micro-benchmark: pipe bytes, frames, "
+            "wall time; parity asserted first"
         ),
     )
     bench_dispatch.add_argument("--dimension", type=int, default=4000)
@@ -576,13 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_dispatch.add_argument("--batch-size", type=int, default=64)
     bench_dispatch.add_argument("--top-k", type=int, default=10)
     bench_dispatch.add_argument("--repeats", type=int, default=30)
-    bench_dispatch.add_argument(
-        "--transports",
-        nargs="+",
-        default=["pipe", "shm", "tcp"],
-        choices=["pipe", "shm", "tcp"],
-        help="transports to measure (default: all three)",
-    )
     bench_dispatch.add_argument("--seed", type=int, default=0)
     bench_dispatch.add_argument(
         "--quick", action="store_true", help="shrink sizes for a CI smoke run"
@@ -822,7 +799,6 @@ def command_serve(args) -> int:  # pragma: no cover - blocking server loop
         max_wait_ms=args.max_wait_ms,
         num_workers=args.scheduler_threads,
         num_processes=args.workers if args.workers > 1 else 0,
-        transport=args.transport,
         cache_size=args.cache_size,
         max_queue_depth=args.max_queue_depth,
         max_concurrent=args.max_concurrent,
@@ -1034,7 +1010,6 @@ def command_loadgen(args) -> int:
             max_batch_size=args.max_batch_size,
             max_wait_ms=args.max_wait_ms,
             num_processes=args.workers if args.workers > 1 else 0,
-            transport=args.transport,
             cache_size=args.cache_size,
             max_queue_depth=args.max_queue_depth,
             max_concurrent=args.max_concurrent,
@@ -1120,7 +1095,6 @@ def command_loadgen(args) -> int:
                 "respawns",
                 "hangs",
                 "shard_retries",
-                "transport_errors",
                 "worker_faults",
                 "bank_faults",
                 "bank_evictions",
@@ -1266,7 +1240,11 @@ def command_bench_serve(args) -> int:
 def command_bench_dispatch(args) -> int:
     import json
 
-    from repro.cluster.bench import format_microbench_rows, run_dispatch_microbench
+    from repro.cluster.bench import (
+        MICROBENCH_HEADERS,
+        format_microbench_rows,
+        run_dispatch_microbench,
+    )
 
     result = run_dispatch_microbench(
         dimension=500 if args.quick else args.dimension,
@@ -1275,21 +1253,12 @@ def command_bench_dispatch(args) -> int:
         batch_size=min(args.batch_size, 32) if args.quick else args.batch_size,
         k=args.top_k,
         repeats=5 if args.quick else args.repeats,
-        transports=args.transports,
         seed=args.seed,
     )
     config = result["config"]
     print(
         format_table(
-            [
-                "transport",
-                "us/dispatch",
-                "pipe B/disp",
-                "shm B/disp",
-                "socket B/disp",
-                "frames/disp",
-                "pipe-byte cut",
-            ],
+            MICROBENCH_HEADERS,
             format_microbench_rows(result),
             title=(
                 f"Dispatch micro-benchmark (D={config['dimension']}, "
@@ -1299,16 +1268,8 @@ def command_bench_dispatch(args) -> int:
     )
     print(f"host cpu count: {result['cpu_count']}")
     if args.quick:
-        # Parity is asserted inside the harness before timing; the smoke
-        # additionally pins the headline byte claim when shm was measured.
-        reduction = result["pipe_byte_reduction"].get("shm")
-        if reduction is not None and reduction < 10.0:
-            print(
-                f"error: shm pipe-byte reduction {reduction:.1f}x < 10x",
-                file=sys.stderr,
-            )
-            return 1
-        print("quick-mode checks passed: parity exact on every transport")
+        # Parity is asserted inside the harness before any timing.
+        print("quick-mode checks passed: parity exact")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(result, handle, indent=2)

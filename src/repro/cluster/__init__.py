@@ -1,4 +1,4 @@
-"""repro.cluster — multiprocess serving with shared-memory model residency.
+"""repro.cluster — multi-process serving with shared-memory model residency.
 
 The GIL caps the single-process serving stack at roughly one core of encode
 throughput no matter how many scheduler threads run.  This subpackage is the
@@ -10,12 +10,10 @@ scale-out tier that breaks that cap without duplicating the model:
   :class:`SharedBankHandle` / :class:`WorkerModelSpec` and the worker-side
   :func:`build_worker_engine` that reconstructs a
   :class:`~repro.serve.engine.PackedInferenceEngine` over the mapped words;
-* :mod:`repro.cluster.transport` — the pluggable data plane: one
-  request/reply protocol behind three carriages (``pipe`` pickling, ``shm``
-  shared-memory rings with control frames on the pipe, ``tcp`` framed
-  localhost sockets), each with exact byte accounting;
+* :mod:`repro.cluster.transport` — the data plane: pickled request/reply
+  frames over each worker's pipe, with exact byte accounting;
 * :mod:`repro.cluster.worker` — the worker process loop (the tiny
-  request/reply protocol over its transport endpoint);
+  request/reply protocol over its pipe);
 * :mod:`repro.cluster.dispatcher` — :class:`ClusterDispatcher` validates +
   packs each batch once, shards the packed words across the pool, merges
   scores bit-identically (including the ensemble max-over-bank reduction),
@@ -26,9 +24,7 @@ scale-out tier that breaks that cap without duplicating the model:
   to status codes.
 
 Wired into serving as ``ServeApp(..., num_processes=N)`` /
-``repro serve --workers N``, and complemented on the kernel side by the
-``multiprocess`` dispatch backend (``REPRO_KERNEL_BACKEND=multiprocess``)
-which shards ``packed.bit_differences`` across a process pool.
+``repro serve --workers N``.
 """
 
 from repro.cluster.affinity import available_cpus, build_pin_map, pin_process
@@ -43,7 +39,6 @@ from repro.cluster.errors import (
     WorkerFaultError,
     WorkerStartupError,
 )
-from repro.cluster.transport import TRANSPORT_NAMES, Transport, TransportError
 from repro.cluster.shared import (
     AttachedBank,
     BankLease,
@@ -66,9 +61,6 @@ __all__ = [
     "DispatcherClosedError",
     "SharedBankHandle",
     "SharedModelStore",
-    "TRANSPORT_NAMES",
-    "Transport",
-    "TransportError",
     "WorkerCrashedError",
     "WorkerFaultError",
     "WorkerModelSpec",

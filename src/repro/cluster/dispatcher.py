@@ -1,6 +1,6 @@
 """``ClusterDispatcher``: shard micro-batches across worker processes.
 
-The dispatcher is the parent-side half of the multiprocess serving tier.  It
+The dispatcher is the parent-side half of the multi-process serving tier.  It
 presents the same inference surface as a
 :class:`~repro.serve.engine.PackedInferenceEngine` (``top_k`` /
 ``decision_scores`` / ``predict``), which is exactly what the
@@ -14,29 +14,27 @@ changes of its own.  Per batch it:
    features re-encoded per worker;
 2. splits the rows into contiguous shards, one per worker (a batch smaller
    than the pool goes to the next worker round-robin), and scatters them
-   over per-worker transport endpoints — pipe, shared-memory ring, or TCP
-   socket, chosen at construction (see :mod:`repro.cluster.transport`);
+   over per-worker pipes (see :mod:`repro.cluster.transport`);
 3. concatenates the per-shard results in shard order — row sharding keeps
    the merged output *bit-identical* to a single-process engine call,
    including the ensemble's max-over-bank reduction, which each worker
    applies to its own rows before replying.
 
-Failure semantics are transport-independent: a request-level exception
-inside a worker is re-raised in the caller with its original type preserved
-for ``ValueError`` so the HTTP layer still answers 400 (feature-width errors
-on the packed path raise parent-side, before any dispatch).  A worker
-*crash* is detected as a broken transport or silent process death; a *hang*
-(alive but unresponsive past ``request_timeout``) is detected by the
-receive watchdog and the wedged process is forcibly retired (SIGTERM, then
-SIGKILL).  Either way the dispatcher retires the slot (infallible, so every
-other worker's pending reply is still drained and no channel ever
-desynchronises) and **retries the failed shards exactly once** on the lazily
-respawned pool — only a second consecutive failure surfaces
-:class:`~repro.cluster.errors.WorkerCrashedError` (HTTP 503).  Torn reply
-frames (``TransportError``) and transient worker faults
-(:class:`~repro.cluster.errors.WorkerFaultError`) are retried the same way
-without retiring the worker, since the channel realigns on the next
-request.
+A request-level exception inside a worker is re-raised in the caller with
+its original type preserved for ``ValueError`` so the HTTP layer still
+answers 400 (feature-width errors on the packed path raise parent-side,
+before any dispatch).  A worker *crash* is detected as a broken pipe or
+silent process death; a *hang* (alive but unresponsive past
+``request_timeout``) is detected by the receive watchdog and the wedged
+process is forcibly retired (SIGTERM, then SIGKILL).  Either way the
+dispatcher retires the slot (infallible, so every other worker's pending
+reply is still drained and no channel ever desynchronises) and **retries the
+failed shards exactly once** on the lazily respawned pool — only a second
+consecutive failure surfaces
+:class:`~repro.cluster.errors.WorkerCrashedError` (HTTP 503).  Transient
+worker faults (:class:`~repro.cluster.errors.WorkerFaultError`) are retried
+the same way without retiring the worker, since their reply was consumed and
+the pipe stays aligned.
 
 Requests may carry an absolute monotonic *deadline*: it rides the op
 control frame so workers refuse to score expired shards, the receive
@@ -77,13 +75,7 @@ from repro.cluster.errors import (
     WorkerStartupError,
 )
 from repro.cluster.shared import SharedModelStore, make_worker_spec
-from repro.cluster.transport import (
-    ParentEndpoint,
-    Transport,
-    TransportCounters,
-    TransportError,
-    make_transport,
-)
+from repro.cluster.transport import ParentPipe
 from repro.cluster.worker import worker_main
 from repro.faults import PARENT_INDEX, PARENT_KINDS, FaultPlan
 from repro.obs.shm_metrics import (
@@ -93,8 +85,6 @@ from repro.obs.shm_metrics import (
     worker_summary,
 )
 from repro.obs.trace import NULL_SPAN, Tracer, get_tracer
-
-_ROW_BYTES = 8  # labels/scores elements and packed words are 8-byte lanes
 
 #: Process-wide guard around the fork-critical window of a worker spawn.
 #: With the ``fork`` start method, two dispatchers spawning concurrently
@@ -143,14 +133,11 @@ def _default_start_method() -> str:
 
 
 class _Worker:
-    __slots__ = ("process", "connection", "endpoint", "generation")
+    __slots__ = ("process", "pipe", "generation")
 
-    def __init__(
-        self, process, connection, endpoint: ParentEndpoint, generation: int
-    ):
+    def __init__(self, process, pipe: ParentPipe, generation: int):
         self.process = process
-        self.connection = connection
-        self.endpoint = endpoint
+        self.pipe = pipe
         # Generation of the bank segment this worker has attached.  Request
         # headers only carry a (re-)attach handle when the leased bank has
         # moved past this, so steady-state traffic pays zero header bytes
@@ -159,7 +146,7 @@ class _Worker:
 
 
 class _WorkerCrash(Exception):
-    """Internal marker: the transport broke or the process died mid-request."""
+    """Internal marker: the pipe broke or the process died mid-request."""
 
 
 class _WorkerHang(_WorkerCrash):
@@ -198,11 +185,6 @@ class ClusterDispatcher:
     name:
         Bank key in the store; defaults to the engine name.  Give versioned
         keys (``"model@v3"``) when hot-swapping so old and new banks coexist.
-    transport:
-        ``"pipe"`` (default), ``"shm"``, ``"tcp"``, or a pre-configured
-        :class:`~repro.cluster.transport.Transport` (tests use the latter to
-        shrink initial slab sizes and force growth).  See
-        :mod:`repro.cluster.transport` for the three data planes.
     cpu_affinity:
         ``None`` (no pinning, the default), ``"auto"`` (round-robin workers
         over the available CPUs via ``sched_setaffinity``), or an explicit
@@ -221,7 +203,7 @@ class ClusterDispatcher:
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`.  When the calling thread
         has a sampled span open, each batch gets a ``dispatch`` span whose
-        context rides the worker transports; workers reply with finished
+        context rides the worker pipes; workers reply with finished
         ``worker:score`` span records that are stitched into the parent
         trace here.  Defaults to the process-wide tracer.
     metrics:
@@ -235,7 +217,6 @@ class ClusterDispatcher:
         num_workers: int = 2,
         store: Optional[SharedModelStore] = None,
         name: Optional[str] = None,
-        transport: Union[str, Transport] = "pipe",
         cpu_affinity: Union[None, str, Sequence[int]] = None,
         start_method: Optional[str] = None,
         startup_timeout: float = 60.0,
@@ -266,8 +247,6 @@ class ClusterDispatcher:
             if self._fault_plan is None
             else self._fault_plan.injector(PARENT_INDEX, kinds=PARENT_KINDS)
         )
-        self._transport = make_transport(transport)
-        self.transport = self._transport.name
         self.cpu_count = os.cpu_count() or 1
         if cpu_affinity is None:
             self._pin_map: Dict[int, int] = {}
@@ -306,7 +285,6 @@ class ClusterDispatcher:
         self.respawns = 0
         self.hangs = 0
         self.shard_retries = 0
-        self.transport_errors = 0
         self.worker_faults = 0
         self.deadline_skips = 0
         self.bank_restores = 0
@@ -380,7 +358,7 @@ class ClusterDispatcher:
             for index in range(self.num_workers):
                 try:
                     worker = self._ensure_worker(index)
-                    worker.endpoint.send_request({"op": "ping"}, [])
+                    worker.pipe.send_request({"op": "ping"}, [])
                     pids.append(self._receive(worker)[0])
                 except (_WorkerCrash, BrokenPipeError, EOFError, OSError):
                     self._retire_worker(index)
@@ -396,14 +374,13 @@ class ClusterDispatcher:
         The armed worker acknowledges, then hard-exits when the next batch
         shard reaches it — deterministically exercising the mid-batch crash
         path (:class:`WorkerCrashedError` + respawn) that a random ``kill``
-        can only hit by lucky timing.  The arming frame rides the active
-        transport, so the drill covers the shm/tcp crash paths too.
+        can only hit by lucky timing.
         """
         with self._lock:
             self._check_open()
             worker = self._ensure_worker(index)
             try:
-                worker.endpoint.send_request({"op": "poison"}, [])
+                worker.pipe.send_request({"op": "poison"}, [])
                 self._receive(worker)
             except (_WorkerCrash, BrokenPipeError, EOFError, OSError):
                 self._retire_worker(index)
@@ -423,11 +400,10 @@ class ClusterDispatcher:
             if worker is None:
                 continue
             try:
-                worker.endpoint.send_request({"op": "stop"}, [])
+                worker.pipe.send_request({"op": "stop"}, [])
             except (BrokenPipeError, EOFError, OSError):
                 pass
-            worker.endpoint.close()
-            worker.connection.close()
+            worker.pipe.close()
         for worker in workers:
             if worker is None:
                 continue
@@ -467,7 +443,9 @@ class ClusterDispatcher:
                 "failures": {
                     "hangs": self.hangs,
                     "shard_retries": self.shard_retries,
-                    "transport_errors": self.transport_errors,
+                    # Pipe frames cannot tear; metric readers still sum
+                    # this key.
+                    "transport_errors": 0,
                     "worker_faults": self.worker_faults,
                     "deadline_skips": self.deadline_skips,
                     "bank_faults": self.bank_faults,
@@ -477,7 +455,6 @@ class ClusterDispatcher:
                     self._fault_plan.describe() if self._fault_plan else None
                 ),
                 "start_method": self._context.get_start_method(),
-                "transport": self.transport,
                 "ships_packed_queries": self._ship_packed,
                 "cpu_count": self.cpu_count,
                 "pin_map": [
@@ -516,26 +493,24 @@ class ClusterDispatcher:
         }
 
     def transport_stats(self) -> dict:
-        """Per-worker transport accounting (bytes by carriage, frame counts,
-        slab occupancy) plus fleet totals — the raw numbers behind the
-        ``bytes_avoided`` / ring-occupancy series in ``/v1/metrics``."""
+        """Per-worker pipe accounting (frame counts, pipe and payload bytes)
+        plus fleet totals — the raw numbers behind the transport series in
+        ``/v1/metrics``."""
         per_worker: List[Optional[dict]] = []
-        totals = TransportCounters().snapshot()
+        totals = dict.fromkeys(ParentPipe.COUNTERS, 0)
         for worker in self._workers:
             if worker is None:
                 per_worker.append(None)
                 continue
-            stats = worker.endpoint.stats()
+            stats = worker.pipe.stats()
             per_worker.append(stats)
-            for key in totals:
-                value = stats.get(key)
-                if isinstance(value, (int, float)):
-                    totals[key] += value
-        return {
-            "transport": self.transport,
-            "per_worker": per_worker,
-            "totals": totals,
-        }
+            for key, value in stats.items():
+                totals[key] += value
+        # Metric readers sum bytes over the pipe, shm and socket keys; only
+        # the pipe carries anything.
+        totals["shm_bytes"] = 0
+        totals["socket_bytes"] = 0
+        return {"per_worker": per_worker, "totals": totals}
 
     # -------------------------------------------------------------- internals
     def _check_open(self) -> None:
@@ -592,7 +567,6 @@ class ClusterDispatcher:
                 # never has to launch a tracker of its own mid-bootstrap.
                 _resource_tracker.ensure_running()
             parent_connection, child_connection = self._context.Pipe(duplex=True)
-            endpoint = self._transport.create_endpoint(parent_connection)
             # The child attaches whatever handle the spec carries at fork
             # time; remember its generation so request headers can skip the
             # re-attach handle while the worker is already current.
@@ -606,7 +580,6 @@ class ClusterDispatcher:
                         child_connection,
                         self._slabs[index].name,
                         index,
-                        endpoint.worker_spec(),
                         self._fault_plan,
                     ),
                     name=f"repro-cluster-{self.name}-{index}",
@@ -614,18 +587,12 @@ class ClusterDispatcher:
                 )
                 process.start()
             except BaseException:
-                endpoint.close()
                 parent_connection.close()
                 child_connection.close()
                 raise
         try:
             child_connection.close()
             deadline = time.monotonic() + self.startup_timeout
-            # TCP endpoints accept the worker's connection here; pipe/shm
-            # endpoints have nothing to do.  Either way the ready handshake
-            # below stays a plain-pipe exchange that strictly precedes any
-            # transport frame.
-            endpoint.bind(process, deadline)
             while not parent_connection.poll(0.05):
                 if not process.is_alive() or time.monotonic() > deadline:
                     raise WorkerStartupError(
@@ -645,7 +612,6 @@ class ClusterDispatcher:
                     f"{reply[1]}"
                 )
         except BaseException:
-            endpoint.close()
             parent_connection.close()
             if process is not None and process.is_alive():
                 process.terminate()
@@ -653,7 +619,7 @@ class ClusterDispatcher:
         cpu = self._pin_map.get(index)
         if cpu is not None:
             self._pinned[index] = cpu if pin_process(process.pid, cpu) else None
-        return _Worker(process, parent_connection, endpoint, spawn_generation)
+        return _Worker(process, ParentPipe(parent_connection), spawn_generation)
 
     def _ensure_worker(self, index: int) -> _Worker:
         """The live worker at *index*, respawning a retired/dead one.
@@ -684,8 +650,7 @@ class ClusterDispatcher:
         if worker is None:
             return
         self._workers[index] = None
-        worker.endpoint.close()
-        worker.connection.close()
+        worker.pipe.close()
         if worker.process.is_alive():
             worker.process.terminate()
             worker.process.join(timeout=2.0)
@@ -695,7 +660,7 @@ class ClusterDispatcher:
 
     def _receive(self, worker: _Worker, deadline: Optional[float] = None):
         timeout_at = time.monotonic() + self.request_timeout
-        while not worker.endpoint.poll(0.05):
+        while not worker.pipe.poll(0.05):
             now = time.monotonic()
             if not worker.process.is_alive():
                 raise _WorkerCrash()
@@ -704,7 +669,7 @@ class ClusterDispatcher:
             if now >= timeout_at:
                 raise _WorkerHang(deadline_hit=False)
         try:
-            reply = worker.endpoint.recv_reply()
+            reply = worker.pipe.recv_reply()
         except (EOFError, OSError):
             raise _WorkerCrash()
         if reply[0] == "error":
@@ -715,8 +680,6 @@ class ClusterDispatcher:
                 raise ValueError(message)
             if kind == "DeadlineExceededError":
                 raise DeadlineExceededError(message)
-            if kind == "TransportError":
-                raise TransportError(message)
             if kind == "InjectedFaultError":
                 raise WorkerFaultError(message)
             if kind == "BankUnavailableError":
@@ -734,14 +697,6 @@ class ClusterDispatcher:
             return arrays[0], spans
         return tuple(arrays), spans
 
-    def _reply_nbytes_hint(self, op: tuple, rows: int) -> int:
-        """Upper-bound reply payload size, so the shm transport pre-grows
-        each worker's response slab instead of round-tripping a growth."""
-        if op[0] == "top_k":
-            k = min(int(op[1]), self.num_classes)
-            return rows * k * 2 * _ROW_BYTES  # labels + scores
-        return rows * self.num_classes * _ROW_BYTES
-
     def _run_shards(
         self,
         op: tuple,
@@ -757,8 +712,8 @@ class ClusterDispatcher:
         """One scatter/drain round over the given shard indices.
 
         Fills ``results[shard_index]`` for every shard that scores and
-        returns the indices that failed *retryably* — crash, hang, torn or
-        dropped frame, transient worker fault.  Non-retryable failures land
+        returns the indices that failed *retryably* — crash, hang, dropped
+        pipe, transient worker fault.  Non-retryable failures land
         in *state* (``request_error`` / ``deadline_error`` / ``spawn_error``;
         ``retry_error`` remembers the last retryable exception so a
         double-failure re-raises something meaningful).
@@ -796,8 +751,7 @@ class ClusterDispatcher:
             bank = state.get("bank")
             if bank is not None and bank.generation == worker.generation:
                 # The worker already holds this materialisation: omit the
-                # handle so steady-state headers stay handle-free (the shm
-                # control channel is byte-budgeted).
+                # handle so steady-state headers stay handle-free.
                 bank = None
             header = {
                 "op": op[0],
@@ -805,14 +759,11 @@ class ClusterDispatcher:
                 "ctx": ctx,
                 "deadline": deadline,
                 "bank": bank,
-                "reply_nbytes_hint": self._reply_nbytes_hint(
-                    op, int(shard.shape[0])
-                ),
             }
             if op[0] == "top_k":
                 header["k"] = int(op[1])
             try:
-                worker.endpoint.send_request(header, [shard])
+                worker.pipe.send_request(header, [shard])
             except (BrokenPipeError, EOFError, OSError):
                 self._retire_worker(index)
                 state["retry_error"] = None
@@ -849,14 +800,6 @@ class ClusterDispatcher:
                 self.deadline_skips += 1
                 state["deadline_error"] = state["deadline_error"] or error
                 continue
-            except TransportError as error:
-                # Torn/stale reply frame: the payload is untrusted but the
-                # frame was consumed and the worker is alive — retry the
-                # shard without retiring anything.
-                self.transport_errors += 1
-                state["retry_error"] = error
-                retry.append(shard_index)
-                continue
             except WorkerFaultError as error:
                 self.worker_faults += 1
                 state["retry_error"] = error
@@ -891,7 +834,7 @@ class ClusterDispatcher:
 
         Serialised under the dispatcher lock: concurrent callers (scheduler
         pool threads, direct 2-D requests) take turns, which keeps each
-        transport channel a strict request/reply channel.  Shards that fail
+        pipe a strict request/reply channel.  Shards that fail
         retryably are re-dispatched exactly once (to the respawned pool when
         the failure retired a worker) before any error surfaces.
         """
@@ -922,8 +865,8 @@ class ClusterDispatcher:
                 if self._ship_packed:
                     # Validate + encode + pack exactly once, parent-side: a
                     # bad feature width raises here (same ValueError/400 as
-                    # the engine), and every transport then carries 1-bit-
-                    # per-dimension words instead of float rows.
+                    # the engine), and the pipes then carry 1-bit-per-
+                    # dimension words instead of float rows.
                     validated = self._engine._validate(features)
                     rows = self._engine._encode_packed(validated).words
                     kind = "packed"

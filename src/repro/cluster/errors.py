@@ -1,4 +1,4 @@
-"""Exception types for the multiprocess serving tier.
+"""Exception types for the multi-process serving tier.
 
 These live in their own dependency-free module so the HTTP front-end can map
 them to status codes (``WorkerCrashedError`` → 503) without importing the
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 
 class ClusterError(RuntimeError):
-    """Base class for multiprocess serving-tier failures."""
+    """Base class for multi-process serving-tier failures."""
 
 
 class WorkerCrashedError(ClusterError):

@@ -1,4 +1,4 @@
-"""Shared-memory model residency for the multiprocess serving tier.
+"""Shared-memory model residency for the multi-process serving tier.
 
 The packed inference bank — ``(K, ceil(D/64))`` words for shared-rule
 classifiers, the flat ``(K * N, ceil(D/64))`` bank for the SearcHD-style

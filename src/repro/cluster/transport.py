@@ -1,699 +1,103 @@
-"""Pluggable dispatch transports: how shards and scores cross the process gap.
+"""The cluster data plane: pickled request/reply frames over each worker's pipe.
 
-The dispatcher/worker *protocol* is fixed — a request frame ``(header,
-arrays)`` down, a reply ``("ok", scalar, arrays, spans)`` or ``("error",
-kind, message)`` back — but the *carriage* of the bulk arrays is what this
-module makes pluggable.  Three transports implement one interface:
+The dispatcher/worker protocol is a request frame ``(header, arrays)`` down
+and a reply ``("ok", scalar, arrays, spans)`` or ``("error", kind, message)``
+back.  Both travel the worker's duplex ``multiprocessing`` pipe as one
+pickled blob each: :class:`ParentPipe` is the dispatcher's end,
+:class:`WorkerPipe` the worker's.  A packed batch at serving scale
+(D=4000, 64 rows) is ~43 KB of query words plus the reply scores, so the
+pickle + pipe copy is a small, flat share of a dispatch.
 
-``pipe``
-    The compatibility baseline: the whole frame (header and arrays) is
-    pickled through the worker's duplex pipe.  Every dispatch therefore
-    copies the query rows and the score matrices through a kernel pipe
-    buffer twice (pickle + write, read + unpickle) — the per-dispatch
-    overhead the shm transport exists to remove.
+Crash semantics come straight from the pipe: a dead peer raises
+``BrokenPipeError``/``OSError``/``EOFError``, and the dispatcher's poll loops
+also watch process liveness, so mid-batch worker death always surfaces as
+:class:`~repro.cluster.errors.WorkerCrashedError` + lazy respawn.
 
-``shm``
-    Shared-memory rings: the parent owns two refcount-free slabs per worker
-    (a request slab it writes, a response slab the worker writes), built on
-    the same ``multiprocessing.shared_memory`` segment machinery as
-    :class:`~repro.cluster.shared.SharedModelStore`.  Arrays are staged in
-    the slabs; the pipe carries only a fixed-shape control frame (op, array
-    layout, slab addresses, generation counter, span context).  Slabs grow
-    geometrically when a batch outgrows them (the frame announces the new
-    segment name, the worker re-attaches); generation counters written
-    after the payload — and checked against the frame on both sides —
-    detect torn or stale reads; a reply that cannot fit its slab falls back
-    to inline pickling so misprediction degrades to the pipe baseline
-    instead of failing.
-
-``tcp``
-    The same framed protocol over a localhost socket: a length-prefixed
-    pickled header followed by the raw array bytes (no array pickling).
-    Functionally the stepping stone to multi-node serving — the frame
-    format has no shared-memory dependency — while keeping crash semantics
-    (dead peer ⇒ broken socket) identical to the pipe.
-
-Crash semantics are transport-independent by construction: every transport
-raises ``BrokenPipeError``/``OSError``/``EOFError`` exactly where the pipe
-transport would, and the dispatcher's poll loops also watch process
-liveness, so mid-batch worker death always surfaces as
-:class:`~repro.cluster.errors.WorkerCrashedError` + lazy respawn no matter
-how the bytes travel.
-
-Every parent endpoint keeps exact byte accounting (``pipe_bytes``,
-``shm_bytes``, ``socket_bytes``, ``bytes_avoided``, frame counts, slab
-occupancy) — the observability layer exposes these and the dispatch
-micro-benchmark asserts the shm transport's ≥10x pipe-byte reduction from
-them.
+:class:`ParentPipe` keeps exact byte accounting (``pipe_bytes``,
+``payload_bytes`` and frame counts), which ``/v1/metrics`` and the
+Prometheus exposition read.
 """
 
 from __future__ import annotations
 
 import pickle
-import select
-import socket
-import struct
-import time
-from dataclasses import dataclass
-from multiprocessing import shared_memory
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 
-from repro.cluster.errors import ClusterError, WorkerStartupError
-
-TRANSPORT_NAMES = ("pipe", "shm", "tcp")
-
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
-
-#: Shared-memory slab header: ``(generation, payload_nbytes)`` as uint64s.
-_SLAB_HEADER = struct.Struct("<QQ")
-
-#: TCP frame prefix: ``(header_nbytes, payload_nbytes)``.
-_TCP_PREFIX = struct.Struct("<II")
-
-_DEFAULT_SLAB_BYTES = 1 << 16  # 64 KiB per ring, grown geometrically
-
-
-class TransportError(ClusterError):
-    """A transport-integrity failure (torn slab read, bad frame, bad token)."""
 
 
 def _dumps(obj) -> bytes:
     return pickle.dumps(obj, protocol=_PICKLE_PROTOCOL)
 
 
-# --------------------------------------------------------------- array codec
-def _array_metas(arrays: Sequence[np.ndarray]) -> List[Tuple[str, Tuple[int, ...]]]:
-    return [(array.dtype.str, tuple(array.shape)) for array in arrays]
-
-
 def _payload_nbytes(arrays: Sequence[np.ndarray]) -> int:
     return sum(int(array.nbytes) for array in arrays)
 
 
-def _flatten(array: np.ndarray) -> np.ndarray:
-    """A contiguous uint8 view of *array* (copying only if non-contiguous)."""
-    return np.ascontiguousarray(array).view(np.uint8).reshape(-1)
+class ParentPipe:
+    """The dispatcher's end of one worker pipe, with byte/frame counters.
 
+    Single-threaded use: the dispatcher serialises dispatches under its own
+    lock.
+    """
 
-def _unpack_arrays(
-    metas: Sequence[Tuple[str, Tuple[int, ...]]], payload: bytes
-) -> List[np.ndarray]:
-    """Rebuild arrays from concatenated raw bytes (read-only views)."""
-    arrays = []
-    offset = 0
-    for dtype_str, shape in metas:
-        dtype = np.dtype(dtype_str)
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        nbytes = count * dtype.itemsize
-        arrays.append(
-            np.frombuffer(payload, dtype=dtype, count=count, offset=offset).reshape(
-                shape
-            )
-        )
-        offset += nbytes
-    if offset != len(payload):
-        raise TransportError(
-            f"payload size mismatch: metas describe {offset} bytes, got {len(payload)}"
-        )
-    return arrays
-
-
-# ----------------------------------------------------------------- counters
-class TransportCounters:
-    """Parent-side per-endpoint byte/frame accounting (single-threaded use:
-    the dispatcher serialises dispatches under its own lock)."""
-
-    __slots__ = (
-        "frames_sent",
-        "frames_received",
-        "pipe_bytes",
-        "shm_bytes",
-        "socket_bytes",
-        "payload_bytes",
-        "bytes_avoided",
-        "inline_fallbacks",
-        "slab_grows",
-    )
-
-    def __init__(self):
-        self.frames_sent = 0
-        self.frames_received = 0
-        self.pipe_bytes = 0  # bytes that crossed a pipe (frames incl. pickles)
-        self.shm_bytes = 0  # array bytes staged in shared-memory rings
-        self.socket_bytes = 0  # bytes that crossed a TCP socket
-        self.payload_bytes = 0  # total array bytes moved, any carriage
-        self.bytes_avoided = 0  # array bytes kept out of the pipes vs baseline
-        self.inline_fallbacks = 0
-        self.slab_grows = 0
-
-    def snapshot(self) -> Dict[str, int]:
-        return {name: int(getattr(self, name)) for name in self.__slots__}
-
-
-# ------------------------------------------------------------------- slabs
-class _Slab:
-    """One shared-memory ring: a 16-byte ``(generation, nbytes)`` header
-    followed by the payload bytes.  The parent owns (creates/unlinks) both
-    rings of a worker; the worker only ever attaches."""
-
-    def __init__(self, segment: shared_memory.SharedMemory, owner: bool):
-        self._segment = segment
-        self._owner = owner
-
-    @classmethod
-    def create(cls, capacity: int) -> "_Slab":
-        segment = shared_memory.SharedMemory(
-            create=True, size=_SLAB_HEADER.size + max(1, int(capacity))
-        )
-        _SLAB_HEADER.pack_into(segment.buf, 0, 0, 0)
-        return cls(segment, owner=True)
-
-    @classmethod
-    def attach(cls, name: str) -> "_Slab":
-        try:
-            segment = shared_memory.SharedMemory(name=name, track=False)
-        except TypeError:  # Python < 3.13: attachments are never tracked
-            segment = shared_memory.SharedMemory(name=name)
-        return cls(segment, owner=False)
-
-    @property
-    def name(self) -> str:
-        return self._segment.name
-
-    @property
-    def capacity(self) -> int:
-        return self._segment.size - _SLAB_HEADER.size
-
-    def write(self, generation: int, arrays: Sequence[np.ndarray]) -> int:
-        """Stage *arrays* then publish the header; returns payload bytes.
-
-        The header is written *after* the payload, so a reader that observes
-        the expected generation is guaranteed to see the matching bytes
-        (the pipe/socket frame carrying that generation is sent later still,
-        giving a second happens-before edge).
-        """
-        buf = self._segment.buf
-        offset = _SLAB_HEADER.size
-        for array in arrays:
-            flat = _flatten(array)
-            buf[offset : offset + flat.nbytes] = flat.data
-            offset += flat.nbytes
-        nbytes = offset - _SLAB_HEADER.size
-        _SLAB_HEADER.pack_into(buf, 0, generation, nbytes)
-        return nbytes
-
-    def read(self, generation: int, expected_nbytes: int) -> bytes:
-        """Copy the payload out, verifying the generation counter.
-
-        A mismatch means a torn or stale read — the frame and the slab
-        disagree about which dispatch the bytes belong to — and is raised
-        as :class:`TransportError` rather than silently scoring garbage.
-        """
-        slab_generation, nbytes = _SLAB_HEADER.unpack_from(self._segment.buf, 0)
-        if slab_generation != generation or nbytes != expected_nbytes:
-            raise TransportError(
-                f"slab {self.name} generation/size mismatch: frame says "
-                f"({generation}, {expected_nbytes}), slab says "
-                f"({slab_generation}, {nbytes})"
-            )
-        start = _SLAB_HEADER.size
-        return bytes(self._segment.buf[start : start + nbytes])
-
-    def close(self) -> None:
-        try:
-            self._segment.close()
-        except BufferError:  # pragma: no cover - a view outlived the slab
-            return
-        if self._owner:
-            try:
-                self._segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-
-
-def _grown_capacity(current: int, needed: int) -> int:
-    capacity = max(current, _DEFAULT_SLAB_BYTES)
-    while capacity < needed:
-        capacity *= 2
-    return capacity
-
-
-# ------------------------------------------------------------ parent side
-class ParentEndpoint:
-    """The dispatcher-side half of one worker's transport channel."""
-
-    name = "base"
+    #: Counter names, in :meth:`stats` order.
+    COUNTERS = ("frames_sent", "frames_received", "pipe_bytes", "payload_bytes")
 
     def __init__(self, connection):
         self.connection = connection
-        self.counters = TransportCounters()
+        self.frames_sent = 0
+        self.frames_received = 0
+        self.pipe_bytes = 0  # frame bytes that crossed the pipe (pickles)
+        self.payload_bytes = 0  # array bytes carried inside those frames
 
-    # -- lifecycle -------------------------------------------------------
-    def worker_spec(self):
-        """Picklable description from which the worker builds its endpoint."""
-        raise NotImplementedError
-
-    def bind(self, process, deadline: float) -> None:
-        """Complete any connection setup after the worker process starts."""
-
-    def close(self) -> None:
-        pass
-
-    # -- request/reply ---------------------------------------------------
     def send_request(self, header: dict, arrays: Sequence[np.ndarray]) -> None:
-        raise NotImplementedError
+        blob = _dumps((header, list(arrays)))
+        self.connection.send_bytes(blob)
+        self.frames_sent += 1
+        self.pipe_bytes += len(blob)
+        self.payload_bytes += _payload_nbytes(arrays)
 
     def poll(self, timeout: float) -> bool:
         return self.connection.poll(timeout)
 
     def recv_reply(self) -> tuple:
-        raise NotImplementedError
-
-    # -- accounting ------------------------------------------------------
-    def stats(self) -> Dict[str, object]:
-        return {"transport": self.name, **self.counters.snapshot()}
-
-
-class PipeParentEndpoint(ParentEndpoint):
-    """Baseline: frames (header and arrays) pickled through the pipe."""
-
-    name = "pipe"
-
-    def worker_spec(self):
-        return ("pipe",)
-
-    def send_request(self, header: dict, arrays: Sequence[np.ndarray]) -> None:
-        blob = _dumps((header, list(arrays)))
-        self.connection.send_bytes(blob)
-        counters = self.counters
-        counters.frames_sent += 1
-        counters.pipe_bytes += len(blob)
-        counters.payload_bytes += _payload_nbytes(arrays)
-
-    def recv_reply(self) -> tuple:
         blob = self.connection.recv_bytes()
-        counters = self.counters
-        counters.frames_received += 1
-        counters.pipe_bytes += len(blob)
+        self.frames_received += 1
+        self.pipe_bytes += len(blob)
         reply = pickle.loads(blob)
         if reply[0] == "ok":
-            counters.payload_bytes += _payload_nbytes(reply[2])
-        return reply
-
-
-class ShmParentEndpoint(ParentEndpoint):
-    """Shared-memory rings: slabs carry arrays, the pipe carries frames."""
-
-    name = "shm"
-
-    def __init__(self, connection, initial_slab_bytes: int = _DEFAULT_SLAB_BYTES):
-        super().__init__(connection)
-        self._generation = 0
-        self._request_slab = _Slab.create(initial_slab_bytes)
-        self._response_slab = _Slab.create(initial_slab_bytes)
-        self._last_request_nbytes = 0
-        self._last_response_nbytes = 0
-
-    def worker_spec(self):
-        # Slab names ride every frame (they change on growth), so the spec
-        # only needs to say which endpoint class to build.
-        return ("shm",)
-
-    def _ensure_capacity(self, slab_attr: str, needed: int) -> "_Slab":
-        slab: _Slab = getattr(self, slab_attr)
-        if needed > slab.capacity:
-            grown = _Slab.create(_grown_capacity(slab.capacity, needed))
-            slab.close()
-            setattr(self, slab_attr, grown)
-            self.counters.slab_grows += 1
-            slab = grown
-        return slab
-
-    def send_request(self, header: dict, arrays: Sequence[np.ndarray]) -> None:
-        self._generation += 1
-        payload_nbytes = _payload_nbytes(arrays)
-        request_slab = self._ensure_capacity("_request_slab", payload_nbytes)
-        response_slab = self._ensure_capacity(
-            "_response_slab", int(header.get("reply_nbytes_hint", 0))
-        )
-        self._last_request_nbytes = request_slab.write(self._generation, arrays)
-        frame = _dumps(
-            (
-                header,
-                _array_metas(arrays),
-                payload_nbytes,
-                self._generation,
-                (request_slab.name, request_slab.capacity),
-                (response_slab.name, response_slab.capacity),
-            )
-        )
-        self.connection.send_bytes(frame)
-        counters = self.counters
-        counters.frames_sent += 1
-        counters.pipe_bytes += len(frame)
-        counters.shm_bytes += payload_nbytes
-        counters.payload_bytes += payload_nbytes
-        counters.bytes_avoided += payload_nbytes
-
-    def recv_reply(self) -> tuple:
-        blob = self.connection.recv_bytes()
-        counters = self.counters
-        counters.frames_received += 1
-        counters.pipe_bytes += len(blob)
-        reply = pickle.loads(blob)
-        if reply[0] == "ok-shm":
-            _, scalar, metas, payload_nbytes, generation, spans = reply
-            if generation != self._generation:
-                raise TransportError(
-                    f"response generation mismatch: sent {self._generation}, "
-                    f"worker answered {generation}"
-                )
-            payload = self._response_slab.read(generation, payload_nbytes)
-            self._last_response_nbytes = payload_nbytes
-            counters.shm_bytes += payload_nbytes
-            counters.payload_bytes += payload_nbytes
-            counters.bytes_avoided += payload_nbytes
-            return ("ok", scalar, _unpack_arrays(metas, payload), spans)
-        if reply[0] == "ok":  # inline fallback (reply outgrew its slab)
-            counters.inline_fallbacks += 1
-            counters.payload_bytes += _payload_nbytes(reply[2])
+            self.payload_bytes += _payload_nbytes(reply[2])
         return reply
 
     def close(self) -> None:
-        self._request_slab.close()
-        self._response_slab.close()
+        self.connection.close()
 
-    def stats(self) -> Dict[str, object]:
-        stats = super().stats()
-        stats["request_slab"] = {
-            "capacity_bytes": self._request_slab.capacity,
-            "last_payload_bytes": self._last_request_nbytes,
-            "occupancy": (
-                self._last_request_nbytes / self._request_slab.capacity
-                if self._request_slab.capacity
-                else 0.0
-            ),
-        }
-        stats["response_slab"] = {
-            "capacity_bytes": self._response_slab.capacity,
-            "last_payload_bytes": self._last_response_nbytes,
-            "occupancy": (
-                self._last_response_nbytes / self._response_slab.capacity
-                if self._response_slab.capacity
-                else 0.0
-            ),
-        }
-        return stats
+    def stats(self) -> Dict[str, int]:
+        return {name: int(getattr(self, name)) for name in self.COUNTERS}
 
 
-def _recv_exact(sock: socket.socket, nbytes: int) -> bytes:
-    chunks = bytearray()
-    while len(chunks) < nbytes:
-        chunk = sock.recv(nbytes - len(chunks))
-        if not chunk:
-            raise EOFError("socket closed by peer")
-        chunks.extend(chunk)
-    return bytes(chunks)
-
-
-def _send_frame(sock: socket.socket, header_blob: bytes, arrays) -> int:
-    payload_nbytes = _payload_nbytes(arrays)
-    sock.sendall(_TCP_PREFIX.pack(len(header_blob), payload_nbytes))
-    sock.sendall(header_blob)
-    for array in arrays:
-        sock.sendall(_flatten(array).data)
-    return _TCP_PREFIX.size + len(header_blob) + payload_nbytes
-
-
-def _recv_frame(sock: socket.socket):
-    header_nbytes, payload_nbytes = _TCP_PREFIX.unpack(
-        _recv_exact(sock, _TCP_PREFIX.size)
-    )
-    header = pickle.loads(_recv_exact(sock, header_nbytes))
-    payload = _recv_exact(sock, payload_nbytes) if payload_nbytes else b""
-    return header, payload, _TCP_PREFIX.size + header_nbytes + payload_nbytes
-
-
-class TcpParentEndpoint(ParentEndpoint):
-    """Framed protocol over a localhost socket: length-prefixed pickled
-    header + raw array bytes.  The pipe is used only for the startup
-    handshake; every request/reply travels the socket."""
-
-    name = "tcp"
-
-    def __init__(self, connection, host: str = "127.0.0.1"):
-        super().__init__(connection)
-        self._listener = socket.create_server((host, 0))
-        self._listener.settimeout(0.1)
-        self._address = self._listener.getsockname()
-        self._socket: Optional[socket.socket] = None
-
-    def worker_spec(self):
-        return ("tcp", self._address[0], self._address[1])
-
-    def bind(self, process, deadline: float) -> None:
-        while True:
-            try:
-                connected, _ = self._listener.accept()
-                break
-            except socket.timeout:
-                if not process.is_alive() or time.monotonic() > deadline:
-                    raise WorkerStartupError(
-                        "worker never connected its transport socket "
-                        f"(alive={process.is_alive()})"
-                    )
-        connected.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._socket = connected
-        self._listener.close()
-
-    def send_request(self, header: dict, arrays: Sequence[np.ndarray]) -> None:
-        if self._socket is None:  # pragma: no cover - bind() precedes use
-            raise BrokenPipeError("transport socket is not connected")
-        frame_header = _dumps((header, _array_metas(arrays)))
-        sent = _send_frame(self._socket, frame_header, arrays)
-        counters = self.counters
-        counters.frames_sent += 1
-        counters.socket_bytes += sent
-        payload_nbytes = _payload_nbytes(arrays)
-        counters.payload_bytes += payload_nbytes
-        counters.bytes_avoided += payload_nbytes
-
-    def poll(self, timeout: float) -> bool:
-        if self._socket is None:  # pragma: no cover - bind() precedes use
-            return False
-        ready, _, _ = select.select([self._socket], [], [], timeout)
-        return bool(ready)
-
-    def recv_reply(self) -> tuple:
-        header, payload, received = _recv_frame(self._socket)
-        counters = self.counters
-        counters.frames_received += 1
-        counters.socket_bytes += received
-        if header[0] == "error":
-            return tuple(header)  # ("error", kind, message)
-        tag, scalar, metas, spans = header
-        if tag == "ok":
-            arrays = _unpack_arrays(metas, payload)
-            counters.payload_bytes += len(payload)
-            counters.bytes_avoided += len(payload)
-            return ("ok", scalar, arrays, spans)
-        return (tag, scalar, metas)  # ("error", kind, message)
-
-    def close(self) -> None:
-        for sock in (self._socket, self._listener):
-            if sock is not None:
-                try:
-                    sock.close()
-                except OSError:  # pragma: no cover - already closed
-                    pass
-
-
-# ------------------------------------------------------------ worker side
-class WorkerEndpoint:
-    """The worker-side half: blocking ``recv`` + ``send_ok``/``send_error``."""
+class WorkerPipe:
+    """The worker's end: blocking :meth:`recv` + :meth:`send_ok`/:meth:`send_error`."""
 
     def __init__(self, connection):
         self.connection = connection
 
     def recv(self):
         """Next ``(header, arrays)`` request; raises ``EOFError`` on close."""
-        raise NotImplementedError
-
-    def send_ok(self, scalar, arrays: Sequence[np.ndarray], spans: list) -> None:
-        raise NotImplementedError
-
-    def send_error(self, kind: str, message: str) -> None:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        pass
-
-
-class PipeWorkerEndpoint(WorkerEndpoint):
-    def recv(self):
         header, arrays = pickle.loads(self.connection.recv_bytes())
         return header, arrays
 
-    def send_ok(self, scalar, arrays, spans) -> None:
+    def send_ok(self, scalar, arrays: Sequence[np.ndarray], spans: list) -> None:
         self.connection.send_bytes(_dumps(("ok", scalar, list(arrays), spans)))
 
     def send_error(self, kind: str, message: str) -> None:
         self.connection.send_bytes(_dumps(("error", kind, message)))
 
-
-class ShmWorkerEndpoint(WorkerEndpoint):
-    def __init__(self, connection):
-        super().__init__(connection)
-        self._attached: Dict[str, _Slab] = {}
-        self._response_slab: Optional[Tuple[str, int]] = None
-        self._generation = 0
-
-    def _slab(self, name: str) -> _Slab:
-        slab = self._attached.get(name)
-        if slab is None:
-            # Growth replaced the segment: drop stale attachments (their
-            # parent-side segments are already unlinked) and map the new one.
-            for stale in self._attached.values():
-                stale.close()
-            self._attached = {}
-            slab = _Slab.attach(name)
-            self._attached[name] = slab
-        return slab
-
-    def recv(self):
-        frame = pickle.loads(self.connection.recv_bytes())
-        header, metas, payload_nbytes, generation, request_ref, response_ref = frame
-        self._generation = generation
-        self._response_slab = response_ref
-        if payload_nbytes:
-            payload = self._slab(request_ref[0]).read(generation, payload_nbytes)
-            arrays = _unpack_arrays(metas, payload)
-        else:
-            arrays = []
-        return header, arrays
-
-    def send_ok(self, scalar, arrays, spans) -> None:
-        payload_nbytes = _payload_nbytes(arrays)
-        name, capacity = self._response_slab
-        if payload_nbytes <= capacity:
-            slab = self._slab(name)
-            slab.write(self._generation, arrays)
-            self.connection.send_bytes(
-                _dumps(
-                    (
-                        "ok-shm",
-                        scalar,
-                        _array_metas(arrays),
-                        payload_nbytes,
-                        self._generation,
-                        spans,
-                    )
-                )
-            )
-        else:
-            # The parent's size hint was short (or absent): degrade this one
-            # reply to inline pickling rather than fail the request.
-            self.connection.send_bytes(_dumps(("ok", scalar, list(arrays), spans)))
-
-    def send_error(self, kind: str, message: str) -> None:
-        self.connection.send_bytes(_dumps(("error", kind, message)))
-
-    def skew_generation(self) -> None:
-        """Chaos hook: desynchronise the reply generation counter.
-
-        The next ``send_ok`` stamps slab + frame with a generation the parent
-        is not expecting, so its torn-write detector raises
-        ``TransportError`` instead of reading the payload — exactly what a
-        write torn by a mid-``memcpy`` crash looks like.  Self-healing: the
-        parent's next request re-announces its own generation and ``recv``
-        adopts it, so only one reply is poisoned.
-        """
-        self._generation += 1
-
     def close(self) -> None:
-        for slab in self._attached.values():
-            slab.close()
-        self._attached = {}
+        self.connection.close()
 
 
-class TcpWorkerEndpoint(WorkerEndpoint):
-    def __init__(self, connection, host: str, port: int):
-        super().__init__(connection)
-        self._socket = socket.create_connection((host, port), timeout=30.0)
-        self._socket.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._socket.settimeout(None)
-
-    def recv(self):
-        header, payload, _ = _recv_frame(self._socket)
-        request, metas = header
-        return request, _unpack_arrays(metas, payload)
-
-    def send_ok(self, scalar, arrays, spans) -> None:
-        header = _dumps(("ok", scalar, _array_metas(arrays), spans))
-        _send_frame(self._socket, header, arrays)
-
-    def send_error(self, kind: str, message: str) -> None:
-        header = _dumps(("error", kind, message))
-        _send_frame(self._socket, header, [])
-
-    def close(self) -> None:
-        try:
-            self._socket.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-
-
-def build_worker_endpoint(spec, connection) -> WorkerEndpoint:
-    """Construct the worker-side endpoint from its picklable spec."""
-    if spec is None or spec[0] == "pipe":
-        return PipeWorkerEndpoint(connection)
-    if spec[0] == "shm":
-        return ShmWorkerEndpoint(connection)
-    if spec[0] == "tcp":
-        return TcpWorkerEndpoint(connection, spec[1], spec[2])
-    raise ValueError(f"unknown transport spec {spec!r}")
-
-
-# -------------------------------------------------------------- factories
-@dataclass
-class Transport:
-    """A transport choice plus its tuning knobs; builds parent endpoints."""
-
-    name: str
-    initial_slab_bytes: int = _DEFAULT_SLAB_BYTES
-
-    def __post_init__(self):
-        if self.name not in TRANSPORT_NAMES:
-            raise ValueError(
-                f"unknown transport {self.name!r}; choose from {TRANSPORT_NAMES}"
-            )
-
-    def create_endpoint(self, connection) -> ParentEndpoint:
-        if self.name == "pipe":
-            return PipeParentEndpoint(connection)
-        if self.name == "shm":
-            return ShmParentEndpoint(
-                connection, initial_slab_bytes=self.initial_slab_bytes
-            )
-        return TcpParentEndpoint(connection)
-
-
-def make_transport(transport) -> Transport:
-    """Coerce a transport name (or pass a :class:`Transport` through)."""
-    if isinstance(transport, Transport):
-        return transport
-    return Transport(str(transport))
-
-
-__all__ = [
-    "TRANSPORT_NAMES",
-    "ParentEndpoint",
-    "Transport",
-    "TransportCounters",
-    "TransportError",
-    "WorkerEndpoint",
-    "build_worker_endpoint",
-    "make_transport",
-]
+__all__ = ["ParentPipe", "WorkerPipe"]

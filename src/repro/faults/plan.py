@@ -23,13 +23,9 @@ Fault kinds (the taxonomy is documented in ``docs/robustness.md``):
 ``error``
     Reply with a typed error frame instead of scores (maps to
     :class:`~repro.cluster.errors.WorkerFaultError`; retryable).
-``torn``
-    Skew the shared-memory ring's generation counter before replying so the
-    parent's torn-write detector trips (``TransportError``).  On transports
-    without a ring to tear this degrades to ``drop``.
 ``drop``
-    Close the transport endpoint and exit without replying — a TCP
-    reset / dropped socket as seen from the parent.
+    Close the pipe and exit without replying — a dropped connection as seen
+    from the parent.
 
 Three further kinds target the fleet pager and fire in the *parent* (the
 dispatcher consults its own injector once per dispatch, as pseudo-worker
@@ -64,7 +60,7 @@ import os
 from typing import Dict, Iterable, List, Optional, Tuple
 
 #: Worker-side kinds, injected inside ``worker_main`` per scoring request.
-WORKER_KINDS = ("crash", "hang", "slow", "error", "torn", "drop")
+WORKER_KINDS = ("crash", "hang", "slow", "error", "drop")
 
 #: Parent-side kinds, injected by the dispatcher per dispatch — they target
 #: the shared-bank pager, which only the parent can reach.
@@ -332,11 +328,10 @@ def _preset(spec_rules: Iterable[FaultRule], seed: int = 0) -> FaultPlan:
 #: smoke.  A worker's request count resets when it is respawned, so on any
 #: one worker only the *earliest* lethal fault ever fires (later fire points
 #: are never reached) — which is why the lethal kinds are partitioned across
-#: worker indices: worker 0 crashes, worker 1 hangs, worker 2 tears/drops
-#: frames (run the smoke with at least 3 workers to exercise all three).
-#: The non-lethal kinds (slow, error — and torn on the shm transport, where
-#: it skews a ring generation instead of killing the worker) fire on every
-#: worker before its first kill point.  Against a ~30-ops-per-worker soak
+#: worker indices: worker 0 crashes, worker 1 hangs, worker 2 drops its pipe
+#: (run the smoke with at least 3 workers to exercise all three).  The
+#: non-lethal kinds (slow, error) fire on every worker before its first kill
+#: point.  Against a ~30-ops-per-worker soak
 #: each worker dies and respawns 2–3 times while the dispatcher's retry-once
 #: keeps availability above the 95% floor.
 PRESETS: Dict[str, FaultPlan] = {
@@ -346,7 +341,7 @@ PRESETS: Dict[str, FaultPlan] = {
             FaultRule(kind="error", every=17, after=9),
             FaultRule(kind="crash", every=23, after=11, workers=(0,)),
             FaultRule(kind="hang", every=23, after=11, workers=(1,)),
-            FaultRule(kind="torn", every=23, after=11, workers=(2,)),
+            FaultRule(kind="drop", every=23, after=11, workers=(2,)),
             FaultRule(kind="drop", every=29, after=17, workers=(2,)),
         ]
     ),
@@ -354,8 +349,9 @@ PRESETS: Dict[str, FaultPlan] = {
         [
             FaultRule(kind="crash", rate=0.01),
             FaultRule(kind="hang", rate=0.005),
-            FaultRule(kind="torn", rate=0.01),
-            FaultRule(kind="drop", rate=0.005),
+            # Rate draws are keyed by kind (two drop rules would share one
+            # draw), so drops get a single rule at the combined rate.
+            FaultRule(kind="drop", rate=0.015),
             FaultRule(kind="error", rate=0.02),
             FaultRule(kind="slow", rate=0.05),
         ]

@@ -18,14 +18,10 @@ Backends
     Shards the batch (row) axis of large kernels across a thread pool.
     Useful on multi-core hosts where the underlying ufuncs release the GIL;
     harmless (just extra dispatch) on single-core machines.
-``multiprocess``
-    Shards the batch (row) axis across a process pool, sidestepping the GIL
-    entirely.  Each task ships its operand shards through pickle, so it only
-    pays off for large batches on genuinely multi-core hosts; on a
-    single-core machine (or for small inputs) it degrades to the direct
-    in-process call, which keeps it parity-safe everywhere.  The worker
-    count comes from ``REPRO_KERNEL_PROCS`` (default: CPU count, capped
-    at 4).
+
+Process-level parallelism lives in the cluster tier
+(:mod:`repro.cluster`), whose resident workers already hold the packed
+bank, not in a kernel backend.
 
 Selection order: an explicit :func:`set_backend` / :func:`use_backend` wins,
 then the ``REPRO_KERNEL_BACKEND`` environment variable, then ``numpy``.
@@ -63,7 +59,7 @@ _ACTIVE_BACKEND: Optional[str] = None
 #: Dtype forced via set_float_dtype/use_float_dtype; None defers to the env.
 _FLOAT_DTYPE: Optional[np.dtype] = None
 
-_KNOWN_BACKENDS = ("numpy", "threaded", "multiprocess")
+_KNOWN_BACKENDS = ("numpy", "threaded")
 
 
 # ------------------------------------------------------------------ backends
@@ -234,96 +230,6 @@ def run_sharded_sum(compute, num_rows: int):
     return total
 
 
-def num_procs() -> int:
-    """Worker count for the multiprocess backend (``REPRO_KERNEL_PROCS``)."""
-    value = os.environ.get("REPRO_KERNEL_PROCS")
-    if value:
-        try:
-            return max(1, int(value))
-        except ValueError:
-            raise ValueError(
-                f"REPRO_KERNEL_PROCS must be an integer, got {value!r}"
-            ) from None
-    return max(1, min(4, os.cpu_count() or 1))
-
-
-_PROCESS_EXECUTOR = None
-_PROCESS_EXECUTOR_LOCK = threading.Lock()
-
-
-def _process_executor():
-    """The process pool for sharded kernels (created on first use).
-
-    The worker count is captured at creation; changing ``REPRO_KERNEL_PROCS``
-    afterwards does not resize the pool.  The ``fork`` start method is
-    preferred (no re-import, no operand re-pickling at startup) and ``spawn``
-    is the portable fallback.
-    """
-    global _PROCESS_EXECUTOR
-    with _PROCESS_EXECUTOR_LOCK:
-        if _PROCESS_EXECUTOR is None:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            methods = multiprocessing.get_all_start_methods()
-            context = multiprocessing.get_context(
-                "fork" if "fork" in methods else "spawn"
-            )
-            _PROCESS_EXECUTOR = ProcessPoolExecutor(
-                max_workers=num_procs(), mp_context=context
-            )
-    return _PROCESS_EXECUTOR
-
-
-def shutdown_process_pool() -> None:
-    """Tear down the multiprocess backend's pool (tests; end-of-run cleanup)."""
-    global _PROCESS_EXECUTOR
-    with _PROCESS_EXECUTOR_LOCK:
-        executor, _PROCESS_EXECUTOR = _PROCESS_EXECUTOR, None
-    if executor is not None:
-        executor.shutdown(wait=True)
-
-
-def run_sharded_processes(function, sharded: np.ndarray, *args):
-    """Run ``function(shard, *args)`` over row shards in worker processes.
-
-    The process twin of :func:`run_sharded`: ``function`` must be a picklable
-    top-level callable returning the result rows for the shard it is handed;
-    results are concatenated in shard order, so the output is bit-identical
-    to one direct ``function(sharded, *args)`` call.  Falls back to that
-    direct call whenever sharding cannot pay off: a single configured worker,
-    fewer than two rows per worker, or execution inside a daemonic process
-    (which may not spawn children).
-
-    A pool worker dying mid-task (OOM kill, signal) marks the whole
-    ``ProcessPoolExecutor`` broken; the broken pool is torn down so the next
-    call builds a fresh one, and *this* call completes on the direct path —
-    a crashed backend degrades to single-process speed, never to errors.
-    """
-    import multiprocessing
-    from concurrent.futures.process import BrokenProcessPool
-
-    num_rows = sharded.shape[0]
-    workers = num_procs()
-    if (
-        workers <= 1
-        or num_rows < 2 * workers
-        or multiprocessing.current_process().daemon
-    ):
-        return function(sharded, *args)
-    shard = (num_rows + workers - 1) // workers
-    executor = _process_executor()
-    try:
-        futures = [
-            executor.submit(function, sharded[start : start + shard], *args)
-            for start in range(0, num_rows, shard)
-        ]
-        return np.concatenate([future.result() for future in futures], axis=0)
-    except BrokenProcessPool:
-        shutdown_process_pool()
-        return function(sharded, *args)
-
-
 # ------------------------------------------------------------------ profiling
 #: (kernel name, backend) -> [calls, total seconds]; guarded by _PROFILE_LOCK.
 _PROFILE: Dict[Tuple[str, str], List] = {}
@@ -452,16 +358,13 @@ __all__ = [
     "kernel_profile_snapshot",
     "kernel_profiling_enabled",
     "list_kernels",
-    "num_procs",
     "num_threads",
     "profile_kernels",
     "register_kernel",
     "reset_kernel_profile",
     "run_sharded",
-    "run_sharded_processes",
     "run_sharded_sum",
     "set_backend",
-    "shutdown_process_pool",
     "set_float_dtype",
     "use_backend",
     "use_float_dtype",

@@ -13,8 +13,6 @@ inference claim rests on:
   directly from the encoder's pre-sign integer accumulation, replicating
   :func:`repro.hdc.hypervector.sign_with_ties` bit-for-bit (same RNG draws)
   so the dense int8 hypervector never needs to exist.
-
-``repro.hdc.packing`` remains as a thin deprecated shim over this module.
 """
 
 from __future__ import annotations
@@ -24,12 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.kernels.dispatch import (
-    get_kernel,
-    register_kernel,
-    run_sharded,
-    run_sharded_processes,
-)
+from repro.kernels.dispatch import get_kernel, register_kernel, run_sharded
 
 BIPOLAR_DTYPE = np.int8
 
@@ -165,21 +158,6 @@ def _bit_differences_threaded(a_words: np.ndarray, b_words: np.ndarray) -> np.nd
         lambda start, stop: _bit_differences_numpy(a_words[start:stop], b_words),
         a_words.shape[0],
     )
-
-
-@register_kernel("packed.bit_differences", backend="multiprocess")
-def _bit_differences_multiprocess(
-    a_words: np.ndarray, b_words: np.ndarray
-) -> np.ndarray:
-    """Shard the query rows of the XOR+popcount across worker processes.
-
-    ``packed_dot_scores`` resolves through this kernel too, so selecting the
-    ``multiprocess`` backend moves the whole packed scoring rule off the GIL.
-    Row-sharded concatenation keeps the counts bit-identical to the numpy
-    backend; small inputs fall through to the direct call inside
-    :func:`~repro.kernels.dispatch.run_sharded_processes`.
-    """
-    return run_sharded_processes(_bit_differences_numpy, a_words, b_words)
 
 
 def bit_differences_words(a_words: np.ndarray, b_words: np.ndarray) -> np.ndarray:

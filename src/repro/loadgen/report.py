@@ -453,7 +453,6 @@ def format_report(report: dict) -> str:
                 "respawns",
                 "hangs",
                 "shard_retries",
-                "transport_errors",
                 "worker_faults",
                 "deadline_skips",
             )

@@ -4,7 +4,7 @@ A stdlib-only terminal dashboard over the serving tier: it polls ``GET
 /v1/metrics`` on an interval and renders one screen per poll — per-tenant
 traffic (QPS, p50/p99, queue depth), the SLO error-budget/burn-rate block,
 worker-pool health (utilisation, respawns), fleet residency/paging, circuit
-breakers, and the transport byte counters.  ``repro top --once --json``
+breakers, and the worker-pipe byte counters.  ``repro top --once --json``
 emits a single machine-readable view instead, which is what the CI smoke
 uses.
 
@@ -106,7 +106,6 @@ def build_view(
             {
                 "dispatcher": name,
                 "workers": info.get("num_workers"),
-                "transport": info.get("transport"),
                 "respawns": int(info.get("respawns", 0)),
                 "utilization": fleet_stats.get("utilization"),
                 "scoring_p50_ms": fleet_stats.get("scoring_p50_ms"),
@@ -181,7 +180,7 @@ def render_view(view: dict, color: bool = True) -> str:
         lines.append("")
         lines.append(
             paint(
-                f"{'DISPATCHER':<16} {'WORKERS':>7} {'TRANSPORT':>9} "
+                f"{'DISPATCHER':<16} {'WORKERS':>7} "
                 f"{'UTIL':>6} {'RESPAWNS':>8} {'SCORE P50':>10} {'SCORE P99':>10}",
                 _DIM,
             )
@@ -190,7 +189,6 @@ def render_view(view: dict, color: bool = True) -> str:
             util = row["utilization"]
             lines.append(
                 f"{row['dispatcher']:<16} {row['workers'] or '-':>7} "
-                f"{row['transport'] or '-':>9} "
                 f"{_fmt(util, '{:.0%}'):>6} {row['respawns']:>8} "
                 f"{_fmt(row['scoring_p50_ms'], '{:.2f}'):>10} "
                 f"{_fmt(row['scoring_p99_ms'], '{:.2f}'):>10}"
@@ -227,9 +225,8 @@ def render_view(view: dict, color: bool = True) -> str:
         lines.append(
             paint("TRANSPORT  ", _DIM)
             + f"frames={transport.get('frames_sent', 0)} "
-            f"payload_mb={transport.get('payload_bytes', 0) / 1e6:.1f} "
-            f"avoided_mb={transport.get('bytes_avoided', 0) / 1e6:.1f} "
-            f"inline_fallbacks={transport.get('inline_fallbacks', 0)}"
+            f"pipe_mb={transport.get('pipe_bytes', 0) / 1e6:.1f} "
+            f"payload_mb={transport.get('payload_bytes', 0) / 1e6:.1f}"
         )
 
     if view.get("alert_burn_rate") is not None:

@@ -14,9 +14,8 @@ Conventions:
   (which is why :class:`~repro.serve.metrics.LatencyHistogram` snapshots
   carry their raw cumulative bucket counts);
 * per-model series carry a ``model`` label, per-stage histograms add
-  ``stage``, cluster-worker series carry ``dispatcher`` and ``worker``;
-  transport byte/frame counters add ``transport`` and the ring gauges add
-  ``ring`` (``request_slab`` / ``response_slab``);
+  ``stage``, cluster-worker series (including the worker-pipe byte/frame
+  counters) carry ``dispatcher`` and ``worker``;
 * fleet-wide residency series are ``repro_fleet_*`` (resident banks,
   evictions, restores, cold loads, leases) and per-tenant admission
   counters are ``repro_tenant_*`` with a ``tenant`` label;
@@ -220,7 +219,7 @@ def render_prometheus(snapshot: Dict) -> str:
         failure_help = {
             "hangs": "Worker hangs detected by the request-timeout watchdog.",
             "shard_retries": "Shards retried once after a worker fault.",
-            "transport_errors": "Transport-level faults (torn frames, drops).",
+            "transport_errors": "Torn worker frames (always 0 on pipes).",
             "worker_faults": "Request-level faults reported by workers.",
             "deadline_skips": "Shards abandoned because their deadline expired.",
         }
@@ -266,69 +265,31 @@ def render_prometheus(snapshot: Dict) -> str:
                 worker=index,
             )
         transport_stats = info.get("transport_stats") or {}
-        transport = transport_stats.get("transport", "pipe")
         for index, endpoint in enumerate(transport_stats.get("per_worker", [])):
             if endpoint is None:
                 continue
-            for field, help_text in (
-                ("pipe_bytes", "Bytes moved through worker pipes (frames)."),
-                ("shm_bytes", "Array bytes staged in shared-memory rings."),
-                ("socket_bytes", "Bytes moved through transport sockets."),
-                (
-                    "bytes_avoided",
-                    "Array bytes kept out of the pipes vs the pipe baseline.",
-                ),
-                ("inline_fallbacks", "Replies that outgrew their ring slab."),
-            ):
-                name = f"repro_transport_{field}_total"
-                writer.declare(name, "counter", help_text)
-                writer.sample(
-                    name,
-                    endpoint.get(field, 0),
-                    dispatcher=dispatcher,
-                    worker=index,
-                    transport=transport,
-                )
+            writer.declare(
+                "repro_transport_pipe_bytes_total",
+                "counter",
+                "Bytes moved through worker pipes (frames).",
+            )
+            writer.sample(
+                "repro_transport_pipe_bytes_total",
+                endpoint.get("pipe_bytes", 0),
+                dispatcher=dispatcher,
+                worker=index,
+            )
             writer.declare(
                 "repro_transport_frames_total",
                 "counter",
-                "Control/request frames exchanged with each worker.",
+                "Request/reply frames exchanged with each worker.",
             )
             writer.sample(
                 "repro_transport_frames_total",
                 endpoint.get("frames_sent", 0) + endpoint.get("frames_received", 0),
                 dispatcher=dispatcher,
                 worker=index,
-                transport=transport,
             )
-            for ring in ("request_slab", "response_slab"):
-                slab = endpoint.get(ring)
-                if slab is None:
-                    continue
-                writer.declare(
-                    "repro_transport_ring_capacity_bytes",
-                    "gauge",
-                    "Current capacity of each worker's shared-memory ring.",
-                )
-                writer.sample(
-                    "repro_transport_ring_capacity_bytes",
-                    slab["capacity_bytes"],
-                    dispatcher=dispatcher,
-                    worker=index,
-                    ring=ring,
-                )
-                writer.declare(
-                    "repro_transport_ring_occupancy",
-                    "gauge",
-                    "Last payload's fraction of its ring's capacity.",
-                )
-                writer.sample(
-                    "repro_transport_ring_occupancy",
-                    slab["occupancy"],
-                    dispatcher=dispatcher,
-                    worker=index,
-                    ring=ring,
-                )
 
     fleet = snapshot.get("fleet")
     if fleet is not None:

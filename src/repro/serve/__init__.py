@@ -17,7 +17,7 @@ serving stack:
   histograms;
 * :mod:`repro.serve.server` — a stdlib-only JSON-over-HTTP front-end
   (``POST /v1/predict`` and friends) with a version-keyed LRU prediction
-  cache and optional multiprocess execution through
+  cache and optional multi-process execution through
   :mod:`repro.cluster` (``ServeApp(num_processes=N)``: shared-memory model
   residency, sharded batches, crash-respawning workers);
 * :mod:`repro.serve.bench` — the serving throughput benchmark shared by

@@ -175,11 +175,6 @@ class ServeApp:
         many worker processes sharing the packed model bank through
         ``multiprocessing.shared_memory`` (one dispatcher per promoted
         model version; dense-mode models transparently stay in-process).
-    transport:
-        Cluster data plane for shard payloads — ``"pipe"`` (default),
-        ``"shm"`` (shared-memory rings; pipes carry only control frames),
-        or ``"tcp"`` (framed localhost sockets).  Ignored when
-        ``num_processes == 0``.  See :mod:`repro.cluster.transport`.
     cache_size:
         Entry cap for the request-level LRU prediction cache keyed by
         ``(model, version, top_k, payload hash)``; ``0`` disables caching.
@@ -250,7 +245,6 @@ class ServeApp:
         max_wait_ms: float = 2.0,
         num_workers: int = 1,
         num_processes: int = 0,
-        transport: str = "pipe",
         cache_size: int = 1024,
         max_queue_depth: Optional[int] = None,
         max_concurrent: Optional[int] = None,
@@ -281,7 +275,6 @@ class ServeApp:
         self.metrics = metrics or MetricsRegistry()
         self.tracer = tracer if tracer is not None else get_tracer()
         self.num_processes = int(num_processes)
-        self.transport = transport
         self.max_concurrent = max_concurrent
         self.tenant_quotas = tenant_quotas
         self.max_resident_banks = (
@@ -653,7 +646,7 @@ class ServeApp:
                 503, "model version was swapped mid-request; retry", code="model_swapped"
             )
         except ClusterError as error:
-            # Residual cluster-tier failures (double transport faults, ...):
+            # Residual cluster-tier failures (double worker faults, ...):
             # the pool heals on the next request, so they are retryable.
             model_metrics.record_error()
             raise RequestError(
@@ -827,7 +820,6 @@ class ServeApp:
                     num_workers=self.num_processes,
                     store=store,
                     name=f"{name}@v{version}",
-                    transport=self.transport,
                     # Cold loads sit in the request path: a worker that is
                     # not up within 10s is pathological — fail the attempt
                     # (typed, retried) rather than stall the tenant's whole

@@ -1,6 +1,6 @@
 """Integration: cluster-served predictions are bit-identical to one process.
 
-The acceptance criterion for the multiprocess tier: for both a shared-rule
+The acceptance criterion for the cluster tier: for both a shared-rule
 classifier and a ``MultiModelHDC`` ensemble bank — each round-tripped through
 ``repro.io`` the way ``repro serve`` loads models — predictions produced by
 ``ServeApp(num_processes=N)`` (shared-memory bank, sharded batches, merged

@@ -49,10 +49,12 @@ class TestParser:
         assert args.workers == 4
         assert args.cache_size == 0
         assert args.scheduler_threads == 1
-        multiproc = build_parser().parse_args(
-            ["serve", "--model", "m.npz", "--kernel-backend", "multiprocess"]
-        )
-        assert multiproc.kernel_backend == "multiprocess"
+        # Process-level parallelism is the cluster tier's job, not a kernel
+        # backend's.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["serve", "--model", "m.npz", "--kernel-backend", "multiprocess"]
+            )
 
     def test_loadgen_defaults_and_target_exclusivity(self):
         args = build_parser().parse_args(["loadgen"])

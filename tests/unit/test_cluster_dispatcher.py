@@ -205,25 +205,11 @@ class TestFaultInjection:
             assert dispatcher.shard_retries == 1
             assert dispatcher.respawns == 0
 
-    def test_torn_shm_frame_is_retried_and_heals(self, served):
-        engine, queries = served
-        plan = _plan(FaultRule(kind="torn", at=1, workers=(0,)))
-        with ClusterDispatcher(
-            engine, num_workers=2, transport="shm", fault_plan=plan
-        ) as dispatcher:
-            labels, _ = dispatcher.top_k(queries, k=1)
-            assert np.array_equal(labels, engine.top_k(queries, k=1)[0])
-            assert dispatcher.transport_errors == 1
-            assert dispatcher.respawns == 0
-            # The ring generation re-syncs on the next request: no residue.
-            labels, _ = dispatcher.top_k(queries[:8], k=1)
-            assert np.array_equal(labels, engine.top_k(queries[:8], k=1)[0])
-
-    def test_dropped_tcp_socket_is_masked(self, served):
+    def test_dropped_pipe_is_masked(self, served):
         engine, queries = served
         plan = _plan(FaultRule(kind="drop", at=2, workers=(0,)))
         with ClusterDispatcher(
-            engine, num_workers=2, transport="tcp", fault_plan=plan
+            engine, num_workers=2, fault_plan=plan
         ) as dispatcher:
             dispatcher.top_k(queries[:4], k=1)
             labels, _ = dispatcher.top_k(queries, k=1)

@@ -215,14 +215,14 @@ class TestShmHygieneUnderChaos:
             rules=(FaultRule(kind="crash", at=2, workers=(0,)),), seed=0
         )
         dispatcher = ClusterDispatcher(
-            fitted_engine, num_workers=2, transport="shm", fault_plan=plan
+            fitted_engine, num_workers=2, fault_plan=plan
         )
         try:
             dispatcher.top_k(queries[:4], k=1)  # healthy warm call
             dispatcher.top_k(queries[:8], k=1)  # worker 0 crashes, masked
             assert dispatcher.respawns == 1
             # A worker dies again right as the pool shuts down: close() must
-            # still unlink the bank, the ring slabs, and the stats slab.
+            # still unlink the bank and the stats slabs.
             dispatcher._workers[0].process.kill()
             dispatcher._workers[0].process.join(timeout=5.0)
         finally:
@@ -252,7 +252,6 @@ class TestShmHygieneUnderChaos:
         app = ServeApp(
             registry,
             num_processes=2,
-            transport="shm",
             cache_size=0,
             max_wait_ms=0.5,
             fault_plan=plan,

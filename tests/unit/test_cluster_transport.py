@@ -1,12 +1,10 @@
-"""Unit tests for the pluggable cluster transports (pipe / shm / tcp).
+"""Unit tests for the cluster data plane (per-worker pipes).
 
-Covers the transport tier's contracts end to end: bit-identical shard/merge
-parity on every transport (including the ensemble max-over-bank merge),
-shared-memory slab auto-growth and torn-write detection via generation
-counters, the inline-fallback degrade path, `poison_worker` chaos and
-kill-mid-batch crashes on the shm path, the TCP framing against its real
-localhost listener, request-level error propagation per transport, and the
-byte-accounting/affinity surfaces the benchmarks and metrics read.
+Covers the pipe tier's contracts end to end: bit-identical shard/merge
+parity (including the ensemble max-over-bank merge), request-level error
+propagation, `poison_worker` chaos and kill-mid-batch crashes, the
+``ParentPipe``/``WorkerPipe`` frame round trip, and the byte-accounting and
+affinity surfaces the benchmarks and metrics read.
 """
 
 from __future__ import annotations
@@ -22,19 +20,11 @@ import pytest
 from repro.classifiers.baseline import BaselineHDC
 from repro.classifiers.multimodel import MultiModelHDC
 from repro.classifiers.pipeline import HDCPipeline
-from repro.cluster import ClusterDispatcher, Transport
+from repro.cluster import ClusterDispatcher
 from repro.cluster.affinity import available_cpus, build_pin_map
-from repro.cluster.transport import (
-    ShmParentEndpoint,
-    ShmWorkerEndpoint,
-    TransportError,
-    _Slab,
-    make_transport,
-)
+from repro.cluster.transport import ParentPipe, WorkerPipe
 from repro.hdc.encoders import RecordEncoder
 from repro.serve.engine import PackedInferenceEngine
-
-TRANSPORTS = ("pipe", "shm", "tcp")
 
 
 @pytest.fixture(scope="module")
@@ -58,11 +48,10 @@ def ensemble_served(small_problem):
 
 
 class TestParity:
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_top_k_scores_and_predict_match_single_process(self, served, transport):
+    def test_top_k_scores_and_predict_match_single_process(self, served):
         engine, queries = served
         expected_labels, expected_scores = engine.top_k(queries, k=3)
-        with ClusterDispatcher(engine, num_workers=2, transport=transport) as d:
+        with ClusterDispatcher(engine, num_workers=2) as d:
             labels, scores = d.top_k(queries, k=3)
             assert np.array_equal(labels, expected_labels)
             assert np.array_equal(scores, expected_scores)
@@ -71,18 +60,16 @@ class TestParity:
             )
             assert np.array_equal(d.predict(queries), engine.predict(queries))
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_ensemble_max_over_bank_merge(self, ensemble_served, transport):
+    def test_ensemble_max_over_bank_merge(self, ensemble_served):
         engine, queries = ensemble_served
-        with ClusterDispatcher(engine, num_workers=2, transport=transport) as d:
+        with ClusterDispatcher(engine, num_workers=2) as d:
             assert np.array_equal(
                 d.decision_scores(queries), engine.decision_scores(queries)
             )
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_value_error_propagates_and_pool_survives(self, served, transport):
+    def test_value_error_propagates_and_pool_survives(self, served):
         engine, queries = served
-        with ClusterDispatcher(engine, num_workers=2, transport=transport) as d:
+        with ClusterDispatcher(engine, num_workers=2) as d:
             with pytest.raises(ValueError, match="columns"):
                 d.top_k(np.zeros((4, 3)), k=1)
             labels, _ = d.top_k(queries, k=1)
@@ -93,113 +80,61 @@ class TestParity:
         engine, queries = served
         batch = np.ascontiguousarray(queries[:16])
         packed_nbytes = engine._encode_packed(engine._validate(batch)).words.nbytes
-        with ClusterDispatcher(engine, num_workers=1, transport="shm") as d:
+        with ClusterDispatcher(engine, num_workers=1) as d:
             assert d.info()["ships_packed_queries"] is True
             d.decision_scores(batch)
             sent = d.transport_stats()["per_worker"][0]
             # Request payload = the packed words (32x smaller than float64
             # rows at D=256/F=24); everything else is reply scores.
             reply_nbytes = 16 * d.num_classes * 8
-            assert sent["shm_bytes"] == packed_nbytes + reply_nbytes
+            assert sent["payload_bytes"] == packed_nbytes + reply_nbytes
             assert packed_nbytes < batch.nbytes
 
 
-class TestShmRing:
-    def test_slab_auto_growth_preserves_parity(self, served):
-        engine, queries = served
-        transport = Transport("shm", initial_slab_bytes=32)
-        with ClusterDispatcher(engine, num_workers=2, transport=transport) as d:
-            assert np.array_equal(
-                d.decision_scores(queries), engine.decision_scores(queries)
-            )
-            stats = d.transport_stats()["totals"]
-            assert stats["slab_grows"] > 0
-            assert stats["inline_fallbacks"] == 0  # growth, not degrade
-
-    def test_slab_rejects_torn_reads(self):
-        slab = _Slab.create(64)
-        try:
-            payload = np.arange(4, dtype=np.uint64)
-            slab.write(7, [payload])
-            round_tripped = np.frombuffer(
-                slab.read(7, payload.nbytes), dtype=np.uint64
-            )
-            assert np.array_equal(round_tripped, payload)
-            with pytest.raises(TransportError, match="generation"):
-                slab.read(8, payload.nbytes)  # stale/foreign generation
-            with pytest.raises(TransportError, match="mismatch"):
-                slab.read(7, payload.nbytes - 8)  # size disagrees with frame
-        finally:
-            slab.close()
-
-    def test_endpoint_pair_detects_generation_races(self, rng):
-        """Drive the shm endpoints in-process to hit both race detectors."""
+class TestPipeFrames:
+    def test_request_and_reply_round_trip_with_exact_accounting(self, rng):
         parent_conn, child_conn = multiprocessing.Pipe(duplex=True)
-        parent = ShmParentEndpoint(parent_conn, initial_slab_bytes=256)
-        worker = ShmWorkerEndpoint(child_conn)
+        parent = ParentPipe(parent_conn)
+        worker = WorkerPipe(child_conn)
         try:
             batch = rng.standard_normal((2, 4))
-            # A reply carrying a stale generation (worker answered an older
-            # request) is refused parent-side.
-            parent.send_request({"op": "scores", "reply_nbytes_hint": 64}, [batch])
+            parent.send_request({"op": "scores"}, [batch])
             header, arrays = worker.recv()
             assert header["op"] == "scores"
             assert np.array_equal(arrays[0], batch)
-            worker._generation -= 1  # simulate answering the previous frame
-            worker.send_ok(None, [batch], [])
-            with pytest.raises(TransportError, match="generation"):
-                parent.recv_reply()
-            # A request slab scribbled after the frame was cut (torn write)
-            # is refused worker-side.
-            parent.send_request({"op": "scores", "reply_nbytes_hint": 64}, [batch])
-            scribbler = _Slab.attach(parent._request_slab.name)
-            try:
-                buf = scribbler._segment.buf
-                buf[0] = (buf[0] + 1) % 256  # bump the generation word
-                with pytest.raises(TransportError, match="mismatch"):
-                    worker.recv()
-            finally:
-                scribbler.close()
+            worker.send_ok(None, [batch * 2], ["span"])
+            assert parent.poll(1.0)
+            tag, scalar, reply_arrays, spans = parent.recv_reply()
+            assert (tag, scalar, spans) == ("ok", None, ["span"])
+            assert np.array_equal(reply_arrays[0], batch * 2)
+            worker.send_error("ValueError", "bad width")
+            assert parent.recv_reply() == ("error", "ValueError", "bad width")
+            stats = parent.stats()
+            assert stats["frames_sent"] == 1
+            assert stats["frames_received"] == 2
+            assert stats["payload_bytes"] == 2 * batch.nbytes
+            assert stats["pipe_bytes"] > stats["payload_bytes"]
         finally:
             worker.close()
             parent.close()
-            parent_conn.close()
-            child_conn.close()
 
-    def test_reply_outgrowing_its_slab_falls_back_inline(self, rng):
-        parent_conn, child_conn = multiprocessing.Pipe(duplex=True)
-        parent = ShmParentEndpoint(parent_conn, initial_slab_bytes=64)
-        worker = ShmWorkerEndpoint(child_conn)
-        try:
-            small = rng.standard_normal((1, 4))
-            big = rng.standard_normal((32, 32))
-            parent.send_request({"op": "scores", "reply_nbytes_hint": 0}, [small])
-            worker.recv()
-            worker.send_ok(None, [big], [])  # 8 KiB into a 64 B response slab
-            reply = parent.recv_reply()
-            assert reply[0] == "ok"
-            assert np.array_equal(reply[2][0], big)
-            assert parent.counters.inline_fallbacks == 1
-        finally:
-            worker.close()
-            parent.close()
-            parent_conn.close()
-            child_conn.close()
 
-    def test_poison_worker_chaos_on_shm_path(self, served):
+class TestCrashPaths:
+    def test_poison_worker_chaos_is_masked(self, served):
         engine, queries = served
-        with ClusterDispatcher(engine, num_workers=2, transport="shm") as d:
-            d.poison_worker(0)
-            # The crash retires the worker and the lost shard is retried
-            # once on the respawned pool — a single poison is fully masked.
-            labels, _ = d.top_k(queries, k=1)
+        with ClusterDispatcher(engine, num_workers=2) as d:
+            d.poison_worker(1)
+            labels, _ = d.top_k(queries, k=1)  # masked by the retry-once path
             assert np.array_equal(labels, engine.top_k(queries, k=1)[0])
+            assert np.array_equal(
+                d.decision_scores(queries), engine.decision_scores(queries)
+            )
             assert d.respawns == 1
             assert d.shard_retries >= 1
 
-    def test_kill_mid_batch_on_shm_path(self, served):
+    def test_kill_mid_batch_is_respawned(self, served):
         engine, queries = served
-        with ClusterDispatcher(engine, num_workers=2, transport="shm") as d:
+        with ClusterDispatcher(engine, num_workers=2) as d:
             victim = d.info()["worker_pids"][0]
             os.kill(victim, signal.SIGKILL)
             deadline = time.monotonic() + 5.0
@@ -215,69 +150,23 @@ class TestShmRing:
             )
 
 
-class TestTcp:
-    def test_frames_travel_a_real_localhost_socket(self, served):
-        engine, queries = served
-        with ClusterDispatcher(engine, num_workers=2, transport="tcp") as d:
-            labels, _ = d.top_k(queries, k=2)
-            assert np.array_equal(labels, engine.top_k(queries, k=2)[0])
-            totals = d.transport_stats()["totals"]
-            assert totals["socket_bytes"] > 0
-            assert totals["pipe_bytes"] == 0  # only the handshake used it
-            assert len(set(d.ping())) == 2
-
-    def test_poison_worker_chaos_on_tcp_path(self, served):
-        engine, queries = served
-        with ClusterDispatcher(engine, num_workers=2, transport="tcp") as d:
-            d.poison_worker(1)
-            labels, _ = d.top_k(queries, k=1)  # masked by the retry-once path
-            assert np.array_equal(labels, engine.top_k(queries, k=1)[0])
-            assert np.array_equal(
-                d.decision_scores(queries), engine.decision_scores(queries)
-            )
-            assert d.respawns == 1
-            assert d.shard_retries >= 1
-
-
 class TestSurfaces:
-    def test_unknown_transport_rejected(self, served):
-        engine, _ = served
-        with pytest.raises(ValueError, match="unknown transport"):
-            ClusterDispatcher(engine, num_workers=1, transport="carrier-pigeon")
-        with pytest.raises(ValueError, match="unknown transport"):
-            make_transport("udp")
-
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_info_and_stats_expose_the_transport(self, served, transport):
+    def test_info_and_stats_expose_the_pipe_counters(self, served):
         engine, queries = served
-        with ClusterDispatcher(
-            engine, num_workers=2, transport=transport, cpu_affinity="auto"
-        ) as d:
+        with ClusterDispatcher(engine, num_workers=2, cpu_affinity="auto") as d:
             d.top_k(queries[:8], k=1)
             info = d.info()
-            assert info["transport"] == transport
             assert info["cpu_count"] == (os.cpu_count() or 1)
             assert len(info["pin_map"]) == 2
             stats = info["transport_stats"]
-            assert stats["transport"] == transport
             assert len(stats["per_worker"]) == 2
             assert stats["totals"]["frames_sent"] >= 2
             assert stats["totals"]["payload_bytes"] > 0
-            if transport == "shm":
-                assert stats["totals"]["bytes_avoided"] > 0
-                for endpoint in stats["per_worker"]:
-                    assert 0.0 <= endpoint["request_slab"]["occupancy"] <= 1.0
-                    assert 0.0 <= endpoint["response_slab"]["occupancy"] <= 1.0
-
-    def test_shm_moves_fewer_pipe_bytes_than_pipe(self, served):
-        engine, queries = served
-        batch = queries[:32]
-        pipe_bytes = {}
-        for transport in ("pipe", "shm"):
-            with ClusterDispatcher(engine, num_workers=1, transport=transport) as d:
-                d.top_k(batch, k=3)
-                pipe_bytes[transport] = d.transport_stats()["totals"]["pipe_bytes"]
-        assert pipe_bytes["shm"] * 10 <= pipe_bytes["pipe"]
+            assert stats["totals"]["pipe_bytes"] > 0
+            # Metric readers sum bytes by carriage; only the pipe carries.
+            assert stats["totals"]["shm_bytes"] == 0
+            assert stats["totals"]["socket_bytes"] == 0
+            assert info["failures"]["transport_errors"] == 0
 
     def test_affinity_helpers(self):
         cpus = available_cpus()

@@ -19,6 +19,8 @@ class TestFaultRule:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             FaultRule(kind="gremlin", at=1)
+        with pytest.raises(ValueError, match="kind"):
+            FaultRule(kind="torn", at=1)
 
     def test_at_fires_exactly_once(self):
         rule = FaultRule(kind="crash", at=3)

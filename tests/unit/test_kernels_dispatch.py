@@ -108,88 +108,6 @@ class TestEnvironmentValidation:
         monkeypatch.delenv("REPRO_KERNEL_THREADS")
 
 
-class TestMultiprocessBackend:
-    def test_backend_is_registered_for_bit_differences(self):
-        kernels = dispatch.list_kernels()
-        assert "multiprocess" in kernels["packed.bit_differences"]
-        assert "multiprocess" in dispatch.available_backends()
-
-    def test_num_procs_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_PROCS", "3")
-        assert dispatch.num_procs() == 3
-        monkeypatch.setenv("REPRO_KERNEL_PROCS", "zero")
-        with pytest.raises(ValueError, match="REPRO_KERNEL_PROCS"):
-            dispatch.num_procs()
-
-    def test_run_sharded_processes_small_input_runs_inline(self, monkeypatch):
-        # Below two rows per worker the direct call is used: no pool, no
-        # pickling, bit-identical output.
-        monkeypatch.setenv("REPRO_KERNEL_PROCS", "4")
-        data = np.arange(6.0).reshape(3, 2)
-        result = dispatch.run_sharded_processes(_double_rows, data)
-        np.testing.assert_array_equal(result, data * 2)
-
-    def test_run_sharded_processes_matches_direct(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_PROCS", "2")
-        dispatch.shutdown_process_pool()  # force a 2-worker pool
-        try:
-            data = np.arange(40.0).reshape(20, 2)
-            result = dispatch.run_sharded_processes(_double_rows, data)
-            np.testing.assert_array_equal(result, data * 2)
-        finally:
-            dispatch.shutdown_process_pool()
-
-    def test_multiprocess_bit_differences_parity(self, monkeypatch):
-        from repro.kernels import packed
-
-        rng = np.random.default_rng(11)
-        a = rng.integers(0, 2**63, size=(24, 4), dtype=np.uint64)
-        b = rng.integers(0, 2**63, size=(7, 4), dtype=np.uint64)
-        expected = packed.bit_differences_words(a, b)
-        monkeypatch.setenv("REPRO_KERNEL_PROCS", "2")
-        dispatch.shutdown_process_pool()
-        try:
-            with dispatch.use_backend("multiprocess"):
-                np.testing.assert_array_equal(
-                    packed.bit_differences_words(a, b), expected
-                )
-        finally:
-            dispatch.shutdown_process_pool()
-
-
-def _double_rows(rows):
-    return rows * 2
-
-
-class TestBrokenPoolRecovery:
-    def test_killed_pool_worker_degrades_to_direct_call(self, monkeypatch):
-        # A worker dying mid-task breaks the whole ProcessPoolExecutor; the
-        # backend must answer this call on the direct path, drop the broken
-        # pool, and build a fresh one next time — never error out.
-        monkeypatch.setenv("REPRO_KERNEL_PROCS", "2")
-        dispatch.shutdown_process_pool()
-        try:
-            executor = dispatch._process_executor()
-            data = np.arange(40.0).reshape(20, 2)
-            np.testing.assert_array_equal(
-                dispatch.run_sharded_processes(_double_rows, data), data * 2
-            )
-            for process in executor._processes.values():
-                process.kill()
-            for process in executor._processes.values():
-                process.join(timeout=10)
-            np.testing.assert_array_equal(
-                dispatch.run_sharded_processes(_double_rows, data), data * 2
-            )
-            # The broken pool was discarded: the next call rebuilds one.
-            assert dispatch._process_executor() is not executor
-            np.testing.assert_array_equal(
-                dispatch.run_sharded_processes(_double_rows, data), data * 2
-            )
-        finally:
-            dispatch.shutdown_process_pool()
-
-
 class TestKernelProfiling:
     def test_disabled_by_default_and_unwrapped(self):
         assert dispatch.kernel_profiling_enabled() is False

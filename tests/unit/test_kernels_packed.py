@@ -1,6 +1,4 @@
-"""Unit tests for the packed kernels and the ``repro.hdc.packing`` shim."""
-
-import warnings
+"""Unit tests for the packed kernels."""
 
 import numpy as np
 import pytest
@@ -8,7 +6,6 @@ import pytest
 from repro.hdc.hypervector import dot_similarity, random_hypervectors, sign_with_ties
 from repro.kernels.dispatch import use_backend
 from repro.kernels.packed import (
-    PackedHypervectors,
     bit_differences_words,
     pack_bipolar,
     packed_dot_scores,
@@ -95,56 +92,3 @@ class TestSignFuseBits:
     def test_invalid_tie_break(self):
         with pytest.raises(ValueError, match="tie_break"):
             sign_fuse_bits(np.ones((1, 4), dtype=np.int32), tie_break="coin")
-
-
-class TestPackingShim:
-    def test_shim_warns_once_at_import(self):
-        """Importing the shim emits exactly one module-level DeprecationWarning."""
-        import importlib
-        import sys
-
-        sys.modules.pop("repro.hdc.packing", None)
-        with pytest.warns(DeprecationWarning, match="repro.kernels") as caught:
-            importlib.import_module("repro.hdc.packing")
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-
-    def test_shim_objects_are_kernel_objects(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.hdc import packing as shim
-
-        assert shim.PackedHypervectors is PackedHypervectors
-        assert shim.pack_bipolar is pack_bipolar
-
-    def test_every_public_kernel_name_reexported_identically(self):
-        from repro.kernels import packed as kernel_module
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.hdc import packing as shim
-
-        for name in kernel_module.__all__:
-            assert getattr(shim, name) is getattr(kernel_module, name), name
-
-    def test_attribute_access_does_not_warn(self):
-        """The deprecation fires at import time, not once per attribute access."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.hdc import packing as shim
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            shim.pack_bits
-            shim.bit_differences_words
-            shim.sign_fuse_bits
-
-    def test_shim_unknown_attribute_raises(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.hdc import packing as shim
-
-        with pytest.raises(AttributeError):
-            shim.definitely_not_a_kernel

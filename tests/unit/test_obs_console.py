@@ -21,7 +21,6 @@ def _snapshot(requests=100):
         "cluster": {
             "har": {
                 "num_workers": 2,
-                "transport": "shm",
                 "respawns": 1,
                 "workers": {
                     "fleet": {
@@ -33,9 +32,10 @@ def _snapshot(requests=100):
                 "transport_stats": {
                     "totals": {
                         "frames_sent": 40,
+                        "pipe_bytes": 2_100_000,
                         "payload_bytes": 2_000_000,
-                        "bytes_avoided": 1_500_000,
-                        "inline_fallbacks": 1,
+                        "shm_bytes": 0,
+                        "socket_bytes": 0,
                     },
                 },
             },
@@ -95,11 +95,10 @@ class TestBuildView:
         view = build_view(_snapshot())
         (worker,) = view["workers"]
         assert worker["dispatcher"] == "har"
-        assert worker["transport"] == "shm"
         assert worker["utilization"] == 0.25
         assert view["fleet"]["evictions"] == 3
         assert view["breakers"] == {"har": "closed"}
-        assert view["transport"]["bytes_avoided"] == 1_500_000
+        assert view["transport"]["pipe_bytes"] == 2_100_000
 
     def test_slo_only_tenant_still_listed(self):
         # A tenant that has only shed (429) requests never reaches the model
@@ -131,7 +130,7 @@ class TestRenderView:
         assert "banks=1/2" in text
         assert "evictions=3" in text
         assert "har=closed" in text
-        assert "avoided_mb=1.5" in text
+        assert "pipe_mb=2.1" in text
         assert "\x1b[" not in text  # color off ⇒ no ANSI escapes
 
     def test_color_marks_verdict(self):

@@ -1,15 +1,15 @@
-"""Unit tests for repro.hdc.packing."""
+"""Unit tests for the bit-packing kernels in repro.kernels.packed."""
 
 import numpy as np
 import pytest
 
 from repro.hdc.hypervector import hamming_distance, random_hypervectors
-from repro.hdc.packing import (
+from repro.kernels.packed import (
     PackedHypervectors,
-    _popcount,
     _popcount_table,
     pack_bipolar,
     pack_bits,
+    popcount,
     unpack_bipolar,
 )
 
@@ -94,7 +94,7 @@ class TestPopcountParity:
     def test_table_matches_native(self):
         words = pack_bipolar(random_hypervectors(8, 1000, seed=16)).words
         np.testing.assert_array_equal(
-            np.asarray(_popcount(words), dtype=np.uint32), _popcount_table(words)
+            np.asarray(popcount(words), dtype=np.uint32), _popcount_table(words)
         )
 
 
