@@ -67,6 +67,27 @@ class TestParser:
                 ["loadgen", "--url", "http://x:1", "--model", "m.npz"]
             )
 
+    def test_transport_flags_are_gone(self):
+        # Every cluster worker is reached over its pipe; nothing selects a
+        # carriage any more.
+        for argv in (
+            ["serve", "--model", "m.npz", "--workers", "2", "--transport", "shm"],
+            ["loadgen", "--workers", "2", "--transport", "tcp"],
+            ["bench-dispatch", "--transports", "pipe"],
+        ):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
+
+    def test_bench_dispatch_defaults(self):
+        args = build_parser().parse_args(["bench-dispatch"])
+        assert args.command == "bench-dispatch"
+        assert args.dimension == 4000
+        assert args.batch_size == 64
+        assert args.top_k == 10
+        assert args.repeats == 30
+        assert args.quick is False
+        assert args.json is None
+
 
 class TestCommands:
     def test_list_datasets(self, capsys):
@@ -203,6 +224,33 @@ class TestCommands:
         results = json.loads(json_path.read_text())
         assert results["config"]["quick"] is True
         assert results["retraining"]["bit_identical"] is True
+
+    def test_bench_dispatch_quick_writes_json(self, tmp_path, capsys):
+        json_path = tmp_path / "dispatch.json"
+        code = main(
+            [
+                "bench-dispatch",
+                "--quick",
+                "--features",
+                "16",
+                "--classes",
+                "3",
+                "--top-k",
+                "2",
+                "--json",
+                str(json_path),
+            ]
+        )
+        assert code == 0
+        output = capsys.readouterr().out
+        assert "Dispatch micro-benchmark (D=500, batch=32, k=2)" in output
+        assert "quick-mode checks passed: parity exact" in output
+        import json
+
+        results = json.loads(json_path.read_text())
+        assert results["parity"] is True
+        assert results["config"]["repeats"] == 5
+        assert results["dispatch"]["frames_per_dispatch"] == 2.0
 
 
 class TestTenantFlags:

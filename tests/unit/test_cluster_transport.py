@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import signal
 import time
 
@@ -118,6 +119,113 @@ class TestPipeFrames:
             worker.close()
             parent.close()
 
+    def test_counters_start_at_zero_in_declared_order(self, pipe_pair):
+        parent, _ = pipe_pair
+        stats = parent.stats()
+        assert tuple(stats) == ParentPipe.COUNTERS
+        assert all(value == 0 for value in stats.values())
+
+    def test_pipe_bytes_are_the_exact_pickled_frame_sizes(self, pipe_pair, rng):
+        parent, worker = pipe_pair
+        batch = rng.standard_normal((3, 5))
+        header = {"op": "scores", "k": 2}
+        parent.send_request(header, [batch])
+        request_size = len(
+            pickle.dumps((header, [batch]), protocol=pickle.HIGHEST_PROTOCOL)
+        )
+        assert parent.stats()["pipe_bytes"] == request_size
+        worker.recv()
+        worker.send_ok(7, [batch], [])
+        parent.recv_reply()
+        reply_size = len(
+            pickle.dumps(("ok", 7, [batch], []), protocol=pickle.HIGHEST_PROTOCOL)
+        )
+        assert parent.stats()["pipe_bytes"] == request_size + reply_size
+
+    def test_payload_bytes_sum_every_array_in_a_frame(self, pipe_pair):
+        parent, worker = pipe_pair
+        words = np.arange(12, dtype=np.uint64).reshape(3, 4)
+        labels = np.arange(3, dtype=np.int64)
+        parent.send_request({"op": "top_k"}, [words, labels])
+        _, arrays = worker.recv()
+        assert len(arrays) == 2
+        assert parent.stats()["payload_bytes"] == words.nbytes + labels.nbytes
+
+    def test_error_reply_counts_frame_bytes_but_no_payload(self, pipe_pair):
+        parent, worker = pipe_pair
+        worker.send_error("RuntimeError", "boom")
+        assert parent.recv_reply() == ("error", "RuntimeError", "boom")
+        stats = parent.stats()
+        assert stats["frames_received"] == 1
+        assert stats["pipe_bytes"] > 0
+        assert stats["payload_bytes"] == 0
+
+    @pytest.mark.parametrize("dtype", [np.uint64, np.float64, np.int32])
+    def test_frames_preserve_dtype_and_shape(self, pipe_pair, dtype):
+        parent, worker = pipe_pair
+        array = np.arange(24).astype(dtype).reshape(2, 3, 4)
+        parent.send_request({"op": "echo"}, [array])
+        _, (received,) = worker.recv()
+        assert received.dtype == array.dtype
+        assert received.shape == array.shape
+        assert np.array_equal(received, array)
+
+    def test_poll_is_false_until_a_reply_arrives(self, pipe_pair):
+        parent, worker = pipe_pair
+        assert parent.poll(0.0) is False
+        worker.send_ok(None, [], [])
+        assert parent.poll(1.0) is True
+        assert parent.recv_reply() == ("ok", None, [], [])
+
+    def test_worker_recv_raises_eof_when_parent_closes(self):
+        parent_conn, child_conn = multiprocessing.Pipe(duplex=True)
+        worker = WorkerPipe(child_conn)
+        ParentPipe(parent_conn).close()
+        try:
+            with pytest.raises(EOFError):
+                worker.recv()
+        finally:
+            worker.close()
+
+    def test_parent_recv_raises_eof_when_worker_closes(self):
+        parent_conn, child_conn = multiprocessing.Pipe(duplex=True)
+        parent = ParentPipe(parent_conn)
+        WorkerPipe(child_conn).close()
+        try:
+            with pytest.raises(EOFError):
+                parent.recv_reply()
+            assert parent.stats()["frames_received"] == 0
+        finally:
+            parent.close()
+
+    def test_send_to_a_closed_worker_raises_oserror(self):
+        parent_conn, child_conn = multiprocessing.Pipe(duplex=True)
+        parent = ParentPipe(parent_conn)
+        WorkerPipe(child_conn).close()
+        try:
+            with pytest.raises(OSError):
+                parent.send_request({"op": "scores"}, [np.zeros(4)])
+            # A frame that never left is not counted.
+            assert parent.stats()["frames_sent"] == 0
+        finally:
+            parent.close()
+
+    def test_close_closes_the_connection(self):
+        parent_conn, child_conn = multiprocessing.Pipe(duplex=True)
+        parent, worker = ParentPipe(parent_conn), WorkerPipe(child_conn)
+        parent.close()
+        worker.close()
+        assert parent_conn.closed and child_conn.closed
+
+
+@pytest.fixture
+def pipe_pair():
+    parent_conn, child_conn = multiprocessing.Pipe(duplex=True)
+    parent, worker = ParentPipe(parent_conn), WorkerPipe(child_conn)
+    yield parent, worker
+    worker.close()
+    parent.close()
+
 
 class TestCrashPaths:
     def test_poison_worker_chaos_is_masked(self, served):
@@ -167,6 +275,24 @@ class TestSurfaces:
             assert stats["totals"]["shm_bytes"] == 0
             assert stats["totals"]["socket_bytes"] == 0
             assert info["failures"]["transport_errors"] == 0
+
+    def test_per_worker_counters_sum_to_the_totals(self, served):
+        engine, queries = served
+        with ClusterDispatcher(engine, num_workers=2) as d:
+            d.decision_scores(queries)
+            d.top_k(queries[:5], k=2)
+            stats = d.transport_stats()
+            for key in ParentPipe.COUNTERS:
+                assert stats["totals"][key] == sum(
+                    worker[key] for worker in stats["per_worker"]
+                ), key
+            # Every request frame was answered by exactly one reply.
+            assert stats["totals"]["frames_sent"] == stats["totals"]["frames_received"]
+
+    def test_dispatcher_has_no_transport_option(self, served):
+        engine, _ = served
+        with pytest.raises(TypeError, match="transport"):
+            ClusterDispatcher(engine, num_workers=1, transport="shm")
 
     def test_affinity_helpers(self):
         cpus = available_cpus()

@@ -120,6 +120,29 @@ class TestFaultPlan:
         }
         assert all_kinds == set(FAULT_KINDS)
 
+    def test_quick_preset_drops_worker_two_on_both_schedules(self):
+        drops = [
+            (rule.every, rule.after, rule.workers)
+            for rule in PRESETS["quick"].rules
+            if rule.kind == "drop"
+        ]
+        assert drops == [(23, 11, (2,)), (29, 17, (2,))]
+        injector = PRESETS["quick"].injector(worker_index=2)
+        draws = [injector.draw() for _ in range(34)]
+        assert draws[10] == "drop"  # request 11, the first fire point
+        assert "drop" not in [
+            PRESETS["quick"].injector(worker_index=0).draw() for _ in range(34)
+        ]
+
+    def test_soak_preset_drop_rate_and_no_torn_rules(self):
+        (drop,) = [rule for rule in PRESETS["soak"].rules if rule.kind == "drop"]
+        assert drop.rate == pytest.approx(0.015)
+        assert drop.workers is None  # every worker
+        for name, plan in PRESETS.items():
+            assert all(rule.kind in FAULT_KINDS for rule in plan.rules), name
+        with pytest.raises(ValueError, match="kind"):
+            FaultPlan.from_spec("torn:every=23:after=11")
+
     def test_describe_short_is_one_line(self):
         text = PRESETS["quick"].describe_short()
         assert "\n" not in text

@@ -107,6 +107,71 @@ class TestEnvironmentValidation:
         np.testing.assert_array_equal(result, data * 2)
         monkeypatch.delenv("REPRO_KERNEL_THREADS")
 
+    def test_multiprocess_is_not_a_backend(self, monkeypatch):
+        # Process-level parallelism is the cluster tier's job.
+        assert dispatch.available_backends() == ["numpy", "threaded"]
+        with pytest.raises(ValueError, match="unknown backend"):
+            dispatch.set_backend("multiprocess")
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "multiprocess")
+        dispatch.set_backend(None)
+        with pytest.raises(ValueError, match="REPRO_KERNEL_BACKEND"):
+            dispatch.active_backend()
+
+    def test_bit_differences_backends(self):
+        assert dispatch.list_kernels()["packed.bit_differences"] == [
+            "numpy",
+            "threaded",
+        ]
+
+
+class TestSharding:
+    def test_small_input_runs_as_one_direct_call(self, monkeypatch):
+        # Below two rows per worker the shards cannot pay off.
+        monkeypatch.setenv("REPRO_KERNEL_THREADS", "4")
+        calls = []
+
+        def compute(start, stop):
+            calls.append((start, stop))
+            return np.arange(start, stop)
+
+        np.testing.assert_array_equal(dispatch.run_sharded(compute, 7), np.arange(7))
+        assert calls == [(0, 7)]
+
+    def test_one_thread_never_shards(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL_THREADS", "1")
+        calls = []
+
+        def compute(start, stop):
+            calls.append((start, stop))
+            return np.arange(start, stop)
+
+        np.testing.assert_array_equal(
+            dispatch.run_sharded(compute, 100), np.arange(100)
+        )
+        assert calls == [(0, 100)]
+
+    def test_shards_cover_every_row_once_in_order(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL_THREADS", "3")
+        calls = []
+
+        def compute(start, stop):
+            calls.append((start, stop))
+            return np.arange(start, stop)
+
+        np.testing.assert_array_equal(dispatch.run_sharded(compute, 10), np.arange(10))
+        assert sorted(calls) == [(0, 4), (4, 8), (8, 10)]
+
+    def test_run_sharded_sum_adds_the_partials(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL_THREADS", "2")
+        data = np.arange(40, dtype=np.int64).reshape(20, 2)
+        total = dispatch.run_sharded_sum(
+            lambda start, stop: data[start:stop].sum(axis=0), 20
+        )
+        np.testing.assert_array_equal(total, data.sum(axis=0))
+
+    def test_executor_is_built_once_and_reused(self):
+        assert dispatch._shared_executor() is dispatch._shared_executor()
+
 
 class TestKernelProfiling:
     def test_disabled_by_default_and_unwrapped(self):

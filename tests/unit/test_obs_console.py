@@ -133,6 +133,14 @@ class TestRenderView:
         assert "pipe_mb=2.1" in text
         assert "\x1b[" not in text  # color off ⇒ no ANSI escapes
 
+    def test_transport_line_reports_the_pipe_only(self):
+        (line,) = [
+            line
+            for line in render_view(build_view(_snapshot()), color=False).splitlines()
+            if line.startswith("TRANSPORT")
+        ]
+        assert line == "TRANSPORT  frames=40 pipe_mb=2.1 payload_mb=2.0"
+
     def test_color_marks_verdict(self):
         text = render_view(build_view(_snapshot()), color=True)
         assert "\x1b[32mok\x1b[0m" in text  # green verdict

@@ -175,6 +175,39 @@ class TestRender:
     def test_golden_output_validates(self):
         validate_exposition(GOLDEN)
 
+    def test_transport_series_count_pipe_bytes_and_frames_per_worker(self):
+        snapshot = {
+            "cluster": {
+                "har": {
+                    "transport_stats": {
+                        "per_worker": [
+                            {
+                                "frames_sent": 3,
+                                "frames_received": 3,
+                                "pipe_bytes": 900,
+                                "payload_bytes": 800,
+                            },
+                            None,  # a worker slot awaiting respawn
+                        ],
+                        "totals": {
+                            "pipe_bytes": 900,
+                            "shm_bytes": 0,
+                            "socket_bytes": 0,
+                        },
+                    },
+                },
+            },
+        }
+        text = render_prometheus(snapshot)
+        validate_exposition(text)
+        assert (
+            'repro_transport_pipe_bytes_total{dispatcher="har",worker="0"} 900'
+            in text
+        )
+        assert 'repro_transport_frames_total{dispatcher="har",worker="0"} 6' in text
+        assert 'worker="1"' not in text
+        assert "shm" not in text and "socket" not in text and "ring" not in text
+
     def test_empty_snapshot_renders_empty(self):
         assert render_prometheus({}) == ""
 

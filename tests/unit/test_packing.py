@@ -130,3 +130,21 @@ class TestPackedConstruction:
     def test_bad_rank(self):
         with pytest.raises(ValueError):
             PackedHypervectors(words=np.zeros(3, dtype=np.uint64), dimension=64)
+
+
+class TestImportPaths:
+    def test_deprecated_hdc_packing_module_is_gone(self):
+        import importlib
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.hdc.packing")
+
+    def test_package_reexports_the_packed_kernels(self):
+        import repro.kernels
+        from repro.kernels import packed
+
+        for name in packed.__all__:
+            if name == "BIPOLAR_DTYPE":  # a dtype constant, not a kernel
+                continue
+            assert name in repro.kernels.__all__, name
+            assert getattr(repro.kernels, name) is getattr(packed, name), name
