@@ -36,9 +36,9 @@ from repro.eval.tables import format_table
 #: regressions in the dispatch path still trip this).
 MIN_MULTICORE_RELATIVE_RATE = 0.8
 
-#: With two workers pinned to distinct CPUs the shm cluster must actually
-#: scale — the whole point of the transport tier (only asserted when two
-#: CPUs exist to pin to).
+#: With two workers pinned to distinct CPUs the pipe cluster must actually
+#: scale — the whole point of the cluster tier (only asserted when two CPUs
+#: exist to pin to).
 MIN_PINNED_TWO_WORKER_SPEEDUP = 1.5
 
 WORKER_COUNTS = (1, 2, 4)
@@ -147,7 +147,7 @@ def test_multicore_scaling(scaling_result):
 
 
 def test_two_pinned_workers_speed_up(scaling_result):
-    """With ≥2 CPUs, two pinned shm workers must clear 1.5x single-process."""
+    """With ≥2 CPUs, two pinned pipe workers must clear 1.5x single-process."""
     if scaling_result["cpu_count"] < 2:
         pytest.skip(
             "single-CPU host: pinning cannot create parallelism "

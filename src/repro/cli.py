@@ -162,15 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-resident", type=int, default=4, help="LRU cap on in-memory engines"
     )
     serve.add_argument(
-        "--kernel-backend",
-        default=None,
-        choices=["numpy", "threaded"],
-        help=(
-            "kernel backend for the inference workers (overrides the "
-            "REPRO_KERNEL_BACKEND environment variable; default: env, then numpy)"
-        ),
-    )
-    serve.add_argument(
         "--max-queue-depth",
         type=int,
         default=None,
@@ -744,16 +735,11 @@ def command_predict(args) -> int:
 
 
 def command_serve(args) -> int:  # pragma: no cover - blocking server loop
-    from repro.kernels.dispatch import set_backend
     from repro.serve import ModelRegistry, ServeApp
     from repro.serve.server import run_server
 
     from pathlib import Path
 
-    if args.kernel_backend is not None:
-        # Process-wide: the scheduler's inference worker threads all resolve
-        # kernels through the dispatch registry, so one call covers them.
-        set_backend(args.kernel_backend)
     registry = ModelRegistry(max_resident=args.max_resident)
     for spec in args.model:
         # NAME=PATH syntax; a bare PATH takes the file stem as its name.

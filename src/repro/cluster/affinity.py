@@ -8,7 +8,8 @@ they need to be honest about it:
 
 * :func:`available_cpus` — the CPUs this process may schedule on (the
   cgroup/affinity mask when the platform exposes it, ``cpu_count`` range
-  otherwise), which is what every benchmark result records;
+  otherwise), which is what every benchmark result records; defined in
+  :mod:`repro.utils.cpus` so the kernel thread pool reads the same set;
 * :func:`build_pin_map` / :func:`pin_process` — a round-robin
   worker→CPU assignment applied with ``sched_setaffinity`` where it exists,
   silently skipped where it does not (macOS, Windows) so pinning is a
@@ -18,17 +19,9 @@ they need to be honest about it:
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-
-def available_cpus() -> List[int]:
-    """CPUs this process may run on (affinity mask if the OS exposes one)."""
-    if hasattr(os, "sched_getaffinity"):
-        try:
-            return sorted(os.sched_getaffinity(0))
-        except OSError:  # pragma: no cover - exotic container runtimes
-            pass
-    return list(range(os.cpu_count() or 1))
+from repro.utils.cpus import available_cpus
 
 
 def build_pin_map(

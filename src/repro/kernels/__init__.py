@@ -5,9 +5,9 @@ system competes on: bit-packed XOR+popcount scoring (:mod:`.packed`), fused
 encoder accumulation (:mod:`.encode`), packed training — centroid bundling,
 epoch scoring and ordered accumulator updates (:mod:`.train`) — and the
 float matmul/dtype policy behind the NN substrate (:mod:`.linear`).
-Implementations are published in a
-named registry with swappable backends (:mod:`.dispatch`), selected via
-``REPRO_KERNEL_BACKEND`` or :func:`~repro.kernels.dispatch.set_backend`.
+Each kernel has one implementation, published in a named registry
+(:mod:`.dispatch`) that also times kernels when profiling is on and owns the
+thread pool the fused encode spreads large batches over.
 
 Layering: :mod:`repro.hdc`, :mod:`repro.classifiers`, :mod:`repro.nn`,
 :mod:`repro.core`, :mod:`repro.eval` and :mod:`repro.serve` all call *down*
@@ -17,8 +17,6 @@ See ``docs/architecture.md`` for the full data-flow.
 """
 
 from repro.kernels.dispatch import (
-    active_backend,
-    available_backends,
     enable_kernel_profiling,
     float_dtype,
     get_kernel,
@@ -28,9 +26,7 @@ from repro.kernels.dispatch import (
     profile_kernels,
     register_kernel,
     reset_kernel_profile,
-    set_backend,
     set_float_dtype,
-    use_backend,
     use_float_dtype,
 )
 from repro.kernels.train import (
@@ -69,10 +65,8 @@ __all__ = [
     "PackedHypervectors",
     "PackedTrainingSet",
     "RecordAccumulator",
-    "active_backend",
     "apply_class_updates",
     "as_float",
-    "available_backends",
     "bit_differences_words",
     "build_accumulator",
     "bundle_packed",
@@ -94,12 +88,10 @@ __all__ = [
     "popcount",
     "register_kernel",
     "score_epoch",
-    "set_backend",
     "set_float_dtype",
     "sign_bipolar",
     "sign_fuse_bits",
     "try_pack_bipolar",
     "unpack_bipolar",
-    "use_backend",
     "use_float_dtype",
 ]

@@ -35,6 +35,7 @@ from repro.hdc.encoders import NGramEncoder, RecordEncoder
 from repro.hdc.hypervector import dot_similarity, sign_with_ties
 from repro.kernels.dispatch import (
     kernel_profile_snapshot,
+    pool_width,
     profile_kernels,
     reset_kernel_profile,
     use_float_dtype,
@@ -137,6 +138,7 @@ def run_kernel_benchmark(
             "ngram": ngram,
             "seed": seed,
             "quick": quick,
+            "pool_width": pool_width(),
         }
     }
 

@@ -42,6 +42,7 @@ from repro.classifiers.multimodel import MultiModelHDC
 from repro.classifiers.retraining import RetrainingHDC
 from repro.datasets.synthetic import make_gaussian_classes
 from repro.hdc.encoders import RecordEncoder
+from repro.kernels.dispatch import pool_width
 from repro.kernels.train import PackedTrainingSet
 
 
@@ -176,6 +177,7 @@ def run_training_benchmark(
             "multimodel_models_per_class": multimodel_models_per_class,
             "multimodel_samples": multimodel_samples,
             "multimodel_iterations": multimodel_iterations,
+            "pool_width": pool_width(),
         }
     }
 

@@ -1,30 +1,27 @@
-"""Named-kernel registry, backend selection, and the float dtype policy.
+"""Named-kernel registry, the kernel thread pool, and the float dtype policy.
 
 Every hot-path computation in this code base (packed Hamming scoring, fused
 encoder accumulation, float matmuls) is published here under a stable name
-with one implementation per *backend*.  Call sites resolve through
-:func:`get_kernel`, so swapping the execution strategy — for example the
-threaded/sharded backend on a multi-core host — is a configuration change,
-not a code change.  This mirrors the plug-in-estimator discipline hardware
-HDC stacks use for their compute kernels: the algorithm is fixed, the
-executor is swappable.
+with exactly one implementation.  Call sites resolve through
+:func:`get_kernel`, which is where per-kernel profiling hooks in and where a
+faster (for example native) implementation of a name would slot in.  This
+mirrors the plug-in-estimator discipline hardware HDC stacks use for their
+compute kernels: the algorithm is fixed, the executor is swappable.
 
-Backends
---------
-``numpy``
-    The default single-threaded NumPy implementation.  Always registered;
-    every other backend falls back to it for kernels it does not override.
-``threaded``
-    Shards the batch (row) axis of large kernels across a thread pool.
-    Useful on multi-core hosts where the underlying ufuncs release the GIL;
-    harmless (just extra dispatch) on single-core machines.
+Kernel thread pool
+------------------
+A kernel that splits its own work across cores maps it over
+:func:`shared_executor`, one process-wide pool of :func:`pool_width`
+threads.  Only ``encode.lut_accumulate`` does: it is the one kernel where a
+second core measurably paid (on LeHDC training's 256-row encode blocks), and
+it chooses between its direct loop and the pool from the batch size.  The width is the size of this process's CPU
+affinity mask, capped at 4, so a process pinned to one CPU never starts a
+pool.  A forked child drops the pool it inherited (the parent's threads do
+not exist in the child) and builds a fresh one on first use.
 
 Process-level parallelism lives in the cluster tier
 (:mod:`repro.cluster`), whose resident workers already hold the packed
-bank, not in a kernel backend.
-
-Selection order: an explicit :func:`set_backend` / :func:`use_backend` wins,
-then the ``REPRO_KERNEL_BACKEND`` environment variable, then ``numpy``.
+bank.
 
 Float dtype policy
 ------------------
@@ -43,201 +40,110 @@ import functools
 import os
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-DEFAULT_BACKEND = "numpy"
+from repro.utils.cpus import available_cpus
 
-#: kernel name -> backend name -> implementation
-_REGISTRY: Dict[str, Dict[str, Callable]] = {}
-
-#: Backend forced via set_backend/use_backend; None defers to the environment.
-_ACTIVE_BACKEND: Optional[str] = None
+#: kernel name -> implementation
+_REGISTRY: Dict[str, Callable] = {}
 
 #: Dtype forced via set_float_dtype/use_float_dtype; None defers to the env.
 _FLOAT_DTYPE: Optional[np.dtype] = None
 
-_KNOWN_BACKENDS = ("numpy", "threaded")
 
-
-# ------------------------------------------------------------------ backends
-def register_kernel(name: str, backend: str = DEFAULT_BACKEND) -> Callable:
-    """Decorator registering a kernel implementation under (*name*, *backend*)."""
-    if backend not in _KNOWN_BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {_KNOWN_BACKENDS}")
+# ------------------------------------------------------------------ registry
+def register_kernel(name: str) -> Callable:
+    """Decorator registering the implementation of kernel *name*."""
 
     def decorate(function: Callable) -> Callable:
-        _REGISTRY.setdefault(name, {})[backend] = function
+        _REGISTRY[name] = function
         return function
 
     return decorate
 
 
-def get_kernel(name: str, backend: Optional[str] = None) -> Callable:
-    """Resolve *name* for the requested (or active) backend.
-
-    Backends that do not override a kernel fall back to the ``numpy``
-    implementation, so a partial backend is always usable.
-    """
-    implementations = _REGISTRY.get(name)
-    if implementations is None:
+def get_kernel(name: str) -> Callable:
+    """Resolve kernel *name* (a timing wrapper while profiling is enabled)."""
+    implementation = _REGISTRY.get(name)
+    if implementation is None:
         raise KeyError(
             f"no kernel registered under {name!r}; known: {sorted(_REGISTRY)}"
         )
-    backend = backend if backend is not None else active_backend()
-    implementation = implementations.get(backend)
-    if implementation is None:
-        implementation = implementations.get(DEFAULT_BACKEND)
-    if implementation is None:  # pragma: no cover - registration bug
-        raise KeyError(f"kernel {name!r} has no {backend!r} or numpy implementation")
     if _PROFILE_ENABLED:
-        return _profiled_kernel(name, backend, implementation)
+        return _profiled_kernel(name, implementation)
     return implementation
 
 
-def list_kernels() -> Dict[str, List[str]]:
-    """Registered kernel names mapped to their available backends."""
-    return {name: sorted(backends) for name, backends in sorted(_REGISTRY.items())}
+def list_kernels() -> List[str]:
+    """Registered kernel names, sorted."""
+    return sorted(_REGISTRY)
 
 
-def available_backends() -> List[str]:
-    """All backend names any kernel is registered under."""
-    found = set()
-    for backends in _REGISTRY.values():
-        found.update(backends)
-    return sorted(found)
+# --------------------------------------------------------------- thread pool
+#: Upper bound on the kernel pool's width, whatever the CPU mask allows.
+_MAX_POOL_WIDTH = 4
+
+#: ``(width, executor)`` of the process-wide kernel pool; None until first use.
+_POOL: Optional[Tuple[int, ThreadPoolExecutor]] = None
+_POOL_LOCK = threading.Lock()
 
 
-def active_backend() -> str:
-    """The backend kernels currently resolve to.
+def pool_width() -> int:
+    """Threads a kernel may split its work across in this process.
 
-    An unknown ``REPRO_KERNEL_BACKEND`` raises immediately (a typo like
-    ``thread`` must not silently measure the numpy backend); the per-kernel
-    numpy fallback in :func:`get_kernel` is only for *valid* backends that do
-    not override a particular kernel.
+    The size of the process's CPU affinity mask, capped at 4.  Read on every
+    call, so a worker pinned after it started sees its new mask.
     """
-    if _ACTIVE_BACKEND is not None:
-        return _ACTIVE_BACKEND
-    backend = os.environ.get("REPRO_KERNEL_BACKEND", DEFAULT_BACKEND)
-    if backend not in _KNOWN_BACKENDS:
-        raise ValueError(
-            f"REPRO_KERNEL_BACKEND={backend!r} is not a known backend; "
-            f"expected one of {_KNOWN_BACKENDS}"
-        )
-    return backend
+    return min(_MAX_POOL_WIDTH, len(available_cpus()))
 
 
-def set_backend(backend: Optional[str]) -> None:
-    """Force a backend process-wide (``None`` re-enables env resolution)."""
-    global _ACTIVE_BACKEND
-    if backend is not None and backend not in _KNOWN_BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {_KNOWN_BACKENDS}")
-    _ACTIVE_BACKEND = backend
+def shared_executor(width: int) -> ThreadPoolExecutor:
+    """The process-wide pool of *width* threads.
 
-
-@contextmanager
-def use_backend(backend: str):
-    """Temporarily force a backend within a ``with`` block."""
-    previous = _ACTIVE_BACKEND
-    set_backend(backend)
-    try:
-        yield
-    finally:
-        set_backend(previous)
-
-
-def num_threads() -> int:
-    """Worker count for the threaded backend (``REPRO_KERNEL_THREADS``)."""
-    value = os.environ.get("REPRO_KERNEL_THREADS")
-    if value:
-        try:
-            return max(1, int(value))
-        except ValueError:
-            raise ValueError(
-                f"REPRO_KERNEL_THREADS must be an integer, got {value!r}"
-            ) from None
-    return max(1, min(4, os.cpu_count() or 1))
-
-
-_EXECUTOR = None
-_EXECUTOR_LOCK = threading.Lock()
-
-
-def _shared_executor():
-    """The process-wide thread pool for sharded kernels (created on first use).
-
-    The worker count is captured at creation; changing
-    ``REPRO_KERNEL_THREADS`` afterwards does not resize the pool.
+    Built on first use and replaced when the width changes, so the threads a
+    kernel sized its blocks for are the threads that run them.  A replaced
+    pool is dropped, not shut down: a call still mapping over it keeps it
+    alive, and its idle threads exit once it is collected.
     """
-    global _EXECUTOR
-    with _EXECUTOR_LOCK:
-        if _EXECUTOR is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _EXECUTOR = ThreadPoolExecutor(
-                max_workers=num_threads(), thread_name_prefix="repro-kernel"
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None or _POOL[0] != width:
+            executor = ThreadPoolExecutor(
+                max_workers=width, thread_name_prefix="repro-kernel"
             )
-    return _EXECUTOR
+            _POOL = (width, executor)
+        return _POOL[1]
 
 
-def _sharded_futures(compute, num_rows: int):
-    """Submit ``compute`` over row shards, or ``None`` when it cannot pay off.
+def _reset_pool_after_fork() -> None:
+    """Drop the pool a forked child inherited.
 
-    The shared partitioning behind :func:`run_sharded` and
-    :func:`run_sharded_sum`: one shard per worker over the cached executor
-    (no per-call pool construction), with a ``None`` fast path telling the
-    caller to run ``compute(0, num_rows)`` directly.
+    Its threads exist only in the parent, yet the executor still counts them
+    as idle, so the child's first submit would queue forever.  The lock may
+    have been held by a parent thread at fork time.  The child builds a
+    fresh pool on first use.
     """
-    workers = num_threads()
-    if workers <= 1 or num_rows < 2 * workers:
-        return None
-    shard = (num_rows + workers - 1) // workers
-    bounds = [(start, min(start + shard, num_rows)) for start in range(0, num_rows, shard)]
-    executor = _shared_executor()
-    return [executor.submit(compute, start, stop) for start, stop in bounds]
+    global _POOL, _POOL_LOCK
+    _POOL = None
+    _POOL_LOCK = threading.Lock()
 
 
-def run_sharded(compute, num_rows: int):
-    """Run ``compute(start, stop)`` over row shards and concatenate in order.
-
-    The shared helper behind every ``threaded`` backend: shards ``[0,
-    num_rows)`` across the cached executor and falls back to one direct call
-    when sharding cannot pay off.  ``compute`` must return the result rows
-    for its half-open range.
-    """
-    futures = _sharded_futures(compute, num_rows)
-    if futures is None:
-        return compute(0, num_rows)
-    return np.concatenate([future.result() for future in futures], axis=0)
-
-
-def run_sharded_sum(compute, num_rows: int):
-    """Shard ``compute(start, stop)`` over rows and *sum* the partial results.
-
-    The reduction twin of :func:`run_sharded`, for kernels whose shards
-    produce same-shaped partial aggregates instead of result rows (e.g. the
-    per-class bit counts of ``train.bundle_counts``).  Only exact for
-    associative accumulations — integer sums, not floats.
-    """
-    futures = _sharded_futures(compute, num_rows)
-    if futures is None:
-        return compute(0, num_rows)
-    total = futures[0].result()
-    for future in futures[1:]:
-        total = total + future.result()
-    return total
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_pool_after_fork)
 
 
 # ------------------------------------------------------------------ profiling
-#: (kernel name, backend) -> [calls, total seconds]; guarded by _PROFILE_LOCK.
-_PROFILE: Dict[Tuple[str, str], List] = {}
+#: kernel name -> [calls, total seconds]; guarded by _PROFILE_LOCK.
+_PROFILE: Dict[str, List] = {}
 _PROFILE_LOCK = threading.Lock()
 _PROFILE_ENABLED = False
-#: Stable wrapper per (name, backend, implementation) so repeated resolution
-#: while profiling does not stack timers.
-_PROFILE_WRAPPERS: Dict[Tuple[str, str, Callable], Callable] = {}
+#: Stable wrapper per (name, implementation) so repeated resolution while
+#: profiling does not stack timers.
+_PROFILE_WRAPPERS: Dict[Tuple[str, Callable], Callable] = {}
 
 
 def enable_kernel_profiling(enabled: bool = True) -> None:
@@ -275,14 +181,13 @@ def reset_kernel_profile() -> None:
 
 
 def kernel_profile_snapshot() -> Dict[str, Dict[str, object]]:
-    """JSON-ready ``{"name[backend]": {calls, total_ms, mean_ms}}`` view."""
+    """JSON-ready ``{"name": {calls, total_ms, mean_ms}}`` view."""
     with _PROFILE_LOCK:
         entries = {key: list(value) for key, value in _PROFILE.items()}
     snapshot = {}
-    for (name, backend), (calls, seconds) in sorted(entries.items()):
-        snapshot[f"{name}[{backend}]"] = {
+    for name, (calls, seconds) in sorted(entries.items()):
+        snapshot[name] = {
             "kernel": name,
-            "backend": backend,
             "calls": calls,
             "total_ms": seconds * 1e3,
             "mean_ms": (seconds / calls * 1e3) if calls else 0.0,
@@ -290,12 +195,11 @@ def kernel_profile_snapshot() -> Dict[str, Dict[str, object]]:
     return snapshot
 
 
-def _profiled_kernel(name: str, backend: str, function: Callable) -> Callable:
-    cache_key = (name, backend, function)
+def _profiled_kernel(name: str, function: Callable) -> Callable:
+    cache_key = (name, function)
     wrapper = _PROFILE_WRAPPERS.get(cache_key)
     if wrapper is not None:
         return wrapper
-    profile_key = (name, backend)
 
     @functools.wraps(function)
     def timed(*args, **kwargs):
@@ -305,9 +209,9 @@ def _profiled_kernel(name: str, backend: str, function: Callable) -> Callable:
         finally:
             elapsed = time.perf_counter() - started
             with _PROFILE_LOCK:
-                entry = _PROFILE.get(profile_key)
+                entry = _PROFILE.get(name)
                 if entry is None:
-                    entry = _PROFILE[profile_key] = [0, 0.0]
+                    entry = _PROFILE[name] = [0, 0.0]
                 entry[0] += 1
                 entry[1] += elapsed
 
@@ -349,23 +253,17 @@ def _validate_float_dtype(dtype) -> np.dtype:
 
 
 __all__ = [
-    "DEFAULT_BACKEND",
-    "active_backend",
-    "available_backends",
     "enable_kernel_profiling",
     "float_dtype",
     "get_kernel",
     "kernel_profile_snapshot",
     "kernel_profiling_enabled",
     "list_kernels",
-    "num_threads",
+    "pool_width",
     "profile_kernels",
     "register_kernel",
     "reset_kernel_profile",
-    "run_sharded",
-    "run_sharded_sum",
-    "set_backend",
     "set_float_dtype",
-    "use_backend",
+    "shared_executor",
     "use_float_dtype",
 ]

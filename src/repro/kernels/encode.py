@@ -7,7 +7,8 @@ bit-for-bit; they only reorganise the computation:
 * :class:`RecordAccumulator` fuses the position×level bind into a lookup
   table ``lut[i, l] = position[i] * level[l]`` built once, collapsing each
   batch into one fancy-indexed gather + a single C-level reduction (chunked
-  over batch rows so the int8 scratch stays bounded);
+  over batch rows so the int8 scratch stays bounded, the chunks of a large
+  batch spread over the kernel thread pool);
 * :class:`NGramAccumulator` hoists the per-call codebook permutations out of
   the request path and evaluates all binding windows of a block at once with
   a rolled gather per n-gram offset, instead of a Python loop over windows.
@@ -24,15 +25,25 @@ from typing import Optional
 
 import numpy as np
 
-from repro.kernels.dispatch import get_kernel, register_kernel, run_sharded
+from repro.kernels.dispatch import (
+    get_kernel,
+    pool_width,
+    register_kernel,
+    shared_executor,
+)
 
 #: Largest bound-LUT the record path will materialise, in bytes
 #: (``num_features * num_levels * D`` int8 entries).  Above this the factored
 #: item memories are kept and the bind happens on the fly.
 DEFAULT_LUT_BUDGET_BYTES = 128 * 1024 * 1024
 
-#: Byte cap on the int8 gather scratch of a single accumulation block.
-_SCRATCH_BYTES = 32 * 1024 * 1024
+#: Byte cap on the int8 gather scratch in flight at once (the record kernel
+#: splits it over the pool's threads).  Each pool thread's allocator arena
+#: keeps its last block after the call, out of the calling thread's reach,
+#: so the cap bounds that retained memory too: at 32 MiB, width 2 raised a
+#: LeHDC fit's peak RSS by ~25 MB.  4 MiB blocks (one core's L2 on a 2-CPU
+#: Xeon) also encoded faster than 32 MiB ones at every width measured.
+_SCRATCH_BYTES = 4 * 1024 * 1024
 
 #: A block's partial sums are reduced in int16; each gathered element is ±1,
 #: so at most this many may be summed per output element in one reduction.
@@ -40,14 +51,18 @@ _INT16_HEADROOM = 32767
 
 
 @register_kernel("encode.lut_accumulate")
-def _lut_accumulate_numpy(flat_lut: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _lut_accumulate(flat_lut: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Gather *rows* of *flat_lut* and reduce over the feature axis.
 
     ``rows`` is ``(batch, num_features)`` int64 indices into the flattened
     ``(num_features * num_levels, D)`` table.  Batch rows are chunked so each
     block's ``(rows, num_features, D)`` int8 gather stays within
-    ``_SCRATCH_BYTES`` — small blocks keep the gather + reduction in cache,
-    which measures ~3x faster than chunking the feature axis.
+    ``_SCRATCH_BYTES / width`` — small blocks keep the gather + reduction in
+    cache, which measures ~3x faster than chunking the feature axis.  A batch
+    of one block runs directly; more blocks are mapped over the
+    :func:`~repro.kernels.dispatch.pool_width` threads of the shared pool, so
+    the gathers in flight together still fit ``_SCRATCH_BYTES``.  Rows are
+    independent, so every width yields the same integers.
     """
     batch, num_features = rows.shape
     dimension = flat_lut.shape[1]
@@ -56,9 +71,11 @@ def _lut_accumulate_numpy(flat_lut: np.ndarray, rows: np.ndarray) -> np.ndarray:
         for feature_index in range(num_features):
             accumulated += flat_lut[rows[:, feature_index]]
         return accumulated
-    block = max(1, _SCRATCH_BYTES // max(1, num_features * dimension))
+    width = pool_width()
+    block = max(1, _SCRATCH_BYTES // max(1, width * num_features * dimension))
     accumulated = np.empty((batch, dimension), dtype=np.int32)
-    for start in range(0, batch, block):
+
+    def accumulate_block(start: int) -> None:
         stop = min(start + block, batch)
         # Gather and reduce in one expression: the multi-MB gather scratch is
         # freed before the next block allocates, so the allocator hands back
@@ -67,16 +84,14 @@ def _lut_accumulate_numpy(flat_lut: np.ndarray, rows: np.ndarray) -> np.ndarray:
         accumulated[start:stop] = flat_lut[rows[start:stop]].sum(
             axis=1, dtype=np.int16
         )
+
+    starts = range(0, batch, block)
+    # Pool blocks write disjoint rows; draining the map re-raises the first
+    # block's exception on the calling thread.
+    run = map if width == 1 or len(starts) == 1 else shared_executor(width).map
+    for _ in run(accumulate_block, starts):
+        pass
     return accumulated
-
-
-@register_kernel("encode.lut_accumulate", backend="threaded")
-def _lut_accumulate_threaded(flat_lut: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Shard the batch axis of the gather+reduce across the shared pool."""
-    return run_sharded(
-        lambda start, stop: _lut_accumulate_numpy(flat_lut, rows[start:stop]),
-        rows.shape[0],
-    )
 
 
 class RecordAccumulator:
@@ -168,7 +183,7 @@ class NGramAccumulator:
                 ]
             accumulated += gram.sum(axis=1, dtype=np.int16)
             # Release the window-block scratch before the next gather so the
-            # allocator reuses the same hot buffer (see _lut_accumulate_numpy).
+            # allocator reuses the same hot buffer (see _lut_accumulate).
             del gram
         return accumulated
 

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.kernels.dispatch import float_dtype, get_kernel, register_kernel, run_sharded
+from repro.kernels.dispatch import float_dtype, get_kernel, register_kernel
 
 
 def as_float(array: np.ndarray) -> np.ndarray:
@@ -57,16 +57,8 @@ def sign_bipolar(values: np.ndarray, dtype: Optional[np.dtype] = None) -> np.nda
 
 
 @register_kernel("linear.matmul")
-def _matmul_numpy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
-
-
-@register_kernel("linear.matmul", backend="threaded")
-def _matmul_threaded(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Shard the rows of *a* across the shared pool (BLAS releases the GIL)."""
-    if a.ndim != 2:
-        return a @ b
-    return run_sharded(lambda start, stop: a[start:stop] @ b, a.shape[0])
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.kernels.dispatch import get_kernel, register_kernel, run_sharded
+from repro.kernels.dispatch import get_kernel, register_kernel
 
 BIPOLAR_DTYPE = np.int8
 
@@ -132,7 +132,7 @@ def popcount(words: np.ndarray) -> np.ndarray:
 
 # ----------------------------------------------------------- bit differences
 @register_kernel("packed.bit_differences")
-def _bit_differences_numpy(a_words: np.ndarray, b_words: np.ndarray) -> np.ndarray:
+def _bit_differences(a_words: np.ndarray, b_words: np.ndarray) -> np.ndarray:
     """Pairwise differing-bit counts between two uint64 word matrices.
 
     The whole pairwise XOR is evaluated as one broadcasted ufunc call per
@@ -149,15 +149,6 @@ def _bit_differences_numpy(a_words: np.ndarray, b_words: np.ndarray) -> np.ndarr
         xor = a_words[start:stop, None, :] ^ b_words[None, :, :]
         counts[start:stop] = popcount(xor).sum(axis=2, dtype=np.int64)
     return counts
-
-
-@register_kernel("packed.bit_differences", backend="threaded")
-def _bit_differences_threaded(a_words: np.ndarray, b_words: np.ndarray) -> np.ndarray:
-    """Shard the query rows of the XOR+popcount across the shared pool."""
-    return run_sharded(
-        lambda start, stop: _bit_differences_numpy(a_words[start:stop], b_words),
-        a_words.shape[0],
-    )
 
 
 def bit_differences_words(a_words: np.ndarray, b_words: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ decomposes into
 
 1. **epoch scoring** (:func:`score_epoch`) — one blocked XOR+popcount of the
    whole packed training set against the packed class hypervectors (rides the
-   sharded ``packed.bit_differences`` kernel), instead of one dense
+   blocked ``packed.bit_differences`` kernel), instead of one dense
    ``(K, D)`` cast + matvec per sample;
 2. **ordered scatter-add** (:func:`apply_class_updates`) — the misclassified
    samples' updates applied to the float accumulators *in visit order*, so
@@ -44,7 +44,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.kernels.dispatch import get_kernel, register_kernel, run_sharded_sum
+from repro.kernels.dispatch import get_kernel, register_kernel
 from repro.kernels.packed import (
     PackedHypervectors,
     flip_score_delta,
@@ -153,7 +153,7 @@ def score_epoch(
     dot similarity (equal to the dense ``binary @ sample`` values exactly)
     and ``predicted`` its row argmax — the two quantities one retraining pass
     consumes.  One call replaces the sequential loop's per-sample
-    ``(K, D)`` float cast + matvec and rides the (sharded, blocked)
+    ``(K, D)`` float cast + matvec and rides the blocked
     ``packed.bit_differences`` kernel.
     """
     scores = packed_dot_scores(packed_samples, packed_classes)
@@ -162,7 +162,7 @@ def score_epoch(
 
 # ------------------------------------------------------- centroid bundling
 @register_kernel("train.bundle_counts")
-def _bundle_counts_numpy(
+def _bundle_counts(
     words: np.ndarray, dimension: int, labels: np.ndarray, num_classes: int
 ) -> np.ndarray:
     """Per-class set-bit counts ``(K, D)`` from packed words.
@@ -181,19 +181,6 @@ def _bundle_counts_numpy(
     counts = np.zeros((num_classes, dimension), dtype=np.int64)
     counts[present] = sums
     return counts
-
-
-@register_kernel("train.bundle_counts", backend="threaded")
-def _bundle_counts_threaded(
-    words: np.ndarray, dimension: int, labels: np.ndarray, num_classes: int
-) -> np.ndarray:
-    """Shard the sample rows; integer partial counts sum exactly."""
-    return run_sharded_sum(
-        lambda start, stop: _bundle_counts_numpy(
-            words[start:stop], dimension, labels[start:stop], num_classes
-        ),
-        words.shape[0],
-    )
 
 
 def unpack_bit_rows(words: np.ndarray, dimension: int) -> np.ndarray:
@@ -248,7 +235,7 @@ def bundle_packed(
 
 # ------------------------------------------------------ accumulator updates
 @register_kernel("train.scatter_add")
-def _scatter_add_numpy(
+def _scatter_add(
     accumulators: np.ndarray,
     class_indices: np.ndarray,
     coefficients: np.ndarray,
@@ -260,11 +247,9 @@ def _scatter_add_numpy(
     Float addition is not associative, so the update order is part of the
     contract: updates land left-to-right exactly like the sequential
     retraining loop, which keeps every rounding — and therefore every
-    later ``sgn(0)`` tie — bit-identical.  This is also why the kernel has
-    no threaded override: sharding the update axis would reorder additions
-    into the same accumulator row.  (A batched ``np.add.at`` preserves order
-    too but routes through ufunc.at's generic inner loop, which measures ~10x
-    slower than this row loop at D=4000.)
+    later ``sgn(0)`` tie — bit-identical.  (A batched ``np.add.at``
+    preserves order too but routes through ufunc.at's generic inner loop,
+    which measures ~10x slower than this row loop at D=4000.)
     """
     for position in range(class_indices.shape[0]):
         accumulators[class_indices[position]] += (

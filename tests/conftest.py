@@ -9,8 +9,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.kernels.encode as encode_module
 from repro.datasets.synthetic import make_gaussian_classes
 from repro.hdc.encoders import RecordEncoder
+from repro.kernels import dispatch
 
 
 @pytest.fixture(scope="session")
@@ -81,3 +83,36 @@ def multimodal_problem():
         "test_labels": test_labels,
         "num_classes": 3,
     }
+
+
+@pytest.fixture
+def kernel_pool(monkeypatch):
+    """Force the kernel pool width and, optionally, the encode scratch budget.
+
+    ``configure(width, scratch_bytes=None)`` fakes a CPU mask of *width* CPUs,
+    starts from no pool and
+    returns the list the encode kernel's pool dispatches are recorded in from
+    then on.  Every pool built is shut down at teardown.
+    """
+    created = []
+    dispatches = []
+
+    def shared_executor(width):
+        executor = dispatch.shared_executor(width)
+        if executor not in created:
+            created.append(executor)
+        dispatches.append(executor)
+        return executor
+
+    def configure(width, scratch_bytes=None):
+        monkeypatch.setattr(dispatch, "available_cpus", lambda: list(range(width)))
+        monkeypatch.setattr(dispatch, "_POOL", None)
+        if scratch_bytes is not None:
+            monkeypatch.setattr(encode_module, "_SCRATCH_BYTES", scratch_bytes)
+        dispatches.clear()
+        return dispatches
+
+    monkeypatch.setattr(encode_module, "shared_executor", shared_executor)
+    yield configure
+    for executor in created:
+        executor.shutdown(wait=True)

@@ -21,7 +21,7 @@ from repro.classifiers.pipeline import HDCPipeline
 from repro.core.configs import DEFAULT_CONFIG
 from repro.core.lehdc import LeHDCClassifier
 from repro.hdc.encoders import RecordEncoder
-from repro.kernels.dispatch import use_backend
+from repro.kernels import dispatch
 from repro.kernels.packed import pack_bipolar
 from repro.serve.engine import PackedInferenceEngine
 
@@ -80,16 +80,26 @@ class TestClassifierPackedParity:
         )
         np.testing.assert_array_equal(packed, dense)
 
-    def test_threaded_backend_is_bit_identical(self, fitted):
+    def test_queries_encoded_over_the_pool_score_bit_identically(
+        self, fitted, kernel_pool
+    ):
         classifier = fitted["classifier"]
         if not classifier.supports_packed_scoring():
             pytest.skip("dense-only scoring rule")
-        packed_queries = pack_bipolar(fitted["test_encoded"])
-        expected = classifier.decision_scores_packed(packed_queries)
-        with use_backend("threaded"):
-            np.testing.assert_array_equal(
-                classifier.decision_scores_packed(packed_queries), expected
-            )
+        encoder = fitted["encoder"]
+        features = fitted["test_features"]
+        # Four width-1 rows per block, so the query batch spans many blocks.
+        scratch_bytes = 4 * features.shape[1] * encoder.dimension
+        dispatches = kernel_pool(1, scratch_bytes)
+        direct = classifier.decision_scores_packed(encoder.encode_packed(features))
+        assert not dispatches
+        dispatches = kernel_pool(2, scratch_bytes)
+        pooled = classifier.decision_scores_packed(encoder.encode_packed(features))
+        assert dispatches
+        np.testing.assert_array_equal(pooled, direct)
+        np.testing.assert_array_equal(
+            direct, classifier.decision_scores(fitted["test_encoded"])
+        )
 
 
 class TestPipelinePackedParity:
@@ -141,9 +151,11 @@ class TestNearestCentroidParity:
         classifier.fit(small_problem["train_features"], small_problem["train_labels"])
         features = small_problem["test_features"]
         predictions = classifier.predict(features)
-        with use_backend("threaded"):
-            threaded = classifier.predict(features)
-        np.testing.assert_array_equal(predictions, threaded)
+        dispatch.reset_kernel_profile()
+        with dispatch.profile_kernels():
+            profiled = classifier.predict(features)
+        np.testing.assert_array_equal(predictions, profiled)
+        assert dispatch.kernel_profile_snapshot()["linear.matmul"]["calls"] >= 1
         # Reference: direct float64 computation against the centroids.
         if metric == "euclidean":
             distances = ((features[:, None, :] - classifier.centroids_[None]) ** 2).sum(

@@ -27,20 +27,16 @@ class TestParser:
         assert args.quick is False
         assert args.json is None
 
-    def test_serve_kernel_backend_choices(self):
-        args = build_parser().parse_args(
-            ["serve", "--model", "m.npz", "--kernel-backend", "threaded"]
-        )
-        assert args.kernel_backend == "threaded"
-        # Default defers to REPRO_KERNEL_BACKEND / numpy.
-        assert (
-            build_parser().parse_args(["serve", "--model", "m.npz"]).kernel_backend
-            is None
-        )
+    @pytest.mark.parametrize("backend", ["numpy", "threaded", "multiprocess"])
+    def test_serve_rejects_kernel_backend(self, backend):
+        # Each kernel has one implementation; there is nothing to select.
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["serve", "--model", "m.npz", "--kernel-backend", "cuda"]
+                ["serve", "--model", "m.npz", "--kernel-backend", backend]
             )
+        assert not hasattr(
+            build_parser().parse_args(["serve", "--model", "m.npz"]), "kernel_backend"
+        )
 
     def test_serve_multiprocess_flags(self):
         args = build_parser().parse_args(
@@ -49,12 +45,6 @@ class TestParser:
         assert args.workers == 4
         assert args.cache_size == 0
         assert args.scheduler_threads == 1
-        # Process-level parallelism is the cluster tier's job, not a kernel
-        # backend's.
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["serve", "--model", "m.npz", "--kernel-backend", "multiprocess"]
-            )
 
     def test_loadgen_defaults_and_target_exclusivity(self):
         args = build_parser().parse_args(["loadgen"])

@@ -1,4 +1,4 @@
-"""Unit tests for the kernel registry, backend selection, and dtype policy."""
+"""Unit tests for the kernel registry, the kernel thread pool, and dtype policy."""
 
 import numpy as np
 import pytest
@@ -16,52 +16,25 @@ class TestRegistry:
         with pytest.raises(KeyError, match="no kernel registered"):
             dispatch.get_kernel("no.such.kernel")
 
-    def test_unknown_backend_falls_back_to_numpy(self):
-        numpy_impl = dispatch.get_kernel("linear.matmul", backend="numpy")
+    def test_one_implementation_per_name(self):
+        @dispatch.register_kernel("test.only")
+        def only():
+            return "only"
 
-        @dispatch.register_kernel("test.only_numpy")
-        def only_numpy():
-            return "numpy"
+        assert dispatch.get_kernel("test.only") is only
+        assert "test.only" in dispatch.list_kernels()
 
-        assert dispatch.get_kernel("test.only_numpy", backend="threaded") is only_numpy
-        assert dispatch.get_kernel("linear.matmul", backend="numpy") is numpy_impl
-
-    def test_register_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            dispatch.register_kernel("test.bad", backend="cuda")
-
-    def test_list_kernels_names_backends(self):
+    def test_list_kernels_returns_sorted_names(self):
         listing = dispatch.list_kernels()
-        assert "numpy" in listing["packed.bit_differences"]
-        assert "threaded" in listing["packed.bit_differences"]
-
-
-class TestBackendSelection:
-    def test_default_backend(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
-        dispatch.set_backend(None)
-        assert dispatch.active_backend() == "numpy"
-
-    def test_environment_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "threaded")
-        dispatch.set_backend(None)
-        assert dispatch.active_backend() == "threaded"
-        monkeypatch.delenv("REPRO_KERNEL_BACKEND")
-
-    def test_use_backend_context(self):
-        with dispatch.use_backend("threaded"):
-            assert dispatch.active_backend() == "threaded"
-        assert dispatch.active_backend() == "numpy"
-
-    def test_set_backend_validates(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            dispatch.set_backend("gpu")
-
-    def test_num_threads_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_THREADS", "3")
-        assert dispatch.num_threads() == 3
-        monkeypatch.delenv("REPRO_KERNEL_THREADS")
-        assert dispatch.num_threads() >= 1
+        assert listing == sorted(listing)
+        for name in (
+            "encode.lut_accumulate",
+            "linear.matmul",
+            "packed.bit_differences",
+            "train.bundle_counts",
+            "train.scatter_add",
+        ):
+            assert name in listing
 
 
 class TestFloatDtypePolicy:
@@ -86,91 +59,57 @@ class TestFloatDtypePolicy:
             dispatch.set_float_dtype(np.int32)
 
 
-class TestEnvironmentValidation:
-    def test_unknown_env_backend_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "thread")  # typo of "threaded"
-        dispatch.set_backend(None)
-        with pytest.raises(ValueError, match="REPRO_KERNEL_BACKEND"):
-            dispatch.active_backend()
-        monkeypatch.delenv("REPRO_KERNEL_BACKEND")
+class TestKernelPool:
+    @pytest.fixture
+    def fresh_pool(self, monkeypatch):
+        monkeypatch.setattr(dispatch, "_POOL", None)
+        monkeypatch.setattr(dispatch, "_POOL_LOCK", dispatch._POOL_LOCK)
+        yield
+        if dispatch._POOL is not None:
+            dispatch._POOL[1].shutdown(wait=True)
 
-    def test_non_integer_thread_count_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_THREADS", "four")
-        with pytest.raises(ValueError, match="REPRO_KERNEL_THREADS"):
-            dispatch.num_threads()
-        monkeypatch.delenv("REPRO_KERNEL_THREADS")
+    def test_width_is_the_cpu_mask(self, monkeypatch):
+        monkeypatch.setattr(dispatch, "available_cpus", lambda: [0, 1, 2])
+        assert dispatch.pool_width() == 3
 
-    def test_run_sharded_matches_direct(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_THREADS", "3")
-        data = np.arange(20.0).reshape(10, 2)
-        result = dispatch.run_sharded(lambda start, stop: data[start:stop] * 2, 10)
-        np.testing.assert_array_equal(result, data * 2)
-        monkeypatch.delenv("REPRO_KERNEL_THREADS")
+    def test_width_is_capped_at_four(self, monkeypatch):
+        monkeypatch.setattr(dispatch, "available_cpus", lambda: list(range(16)))
+        assert dispatch.pool_width() == 4
 
-    def test_multiprocess_is_not_a_backend(self, monkeypatch):
-        # Process-level parallelism is the cluster tier's job.
-        assert dispatch.available_backends() == ["numpy", "threaded"]
-        with pytest.raises(ValueError, match="unknown backend"):
-            dispatch.set_backend("multiprocess")
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "multiprocess")
-        dispatch.set_backend(None)
-        with pytest.raises(ValueError, match="REPRO_KERNEL_BACKEND"):
-            dispatch.active_backend()
+    def test_width_follows_a_later_pin(self, monkeypatch):
+        monkeypatch.setattr(dispatch, "available_cpus", lambda: [0, 1])
+        assert dispatch.pool_width() == 2
+        monkeypatch.setattr(dispatch, "available_cpus", lambda: [1])
+        assert dispatch.pool_width() == 1
 
-    def test_bit_differences_backends(self):
-        assert dispatch.list_kernels()["packed.bit_differences"] == [
-            "numpy",
-            "threaded",
-        ]
+    def test_cluster_reads_the_same_cpu_set(self):
+        from repro.cluster import affinity
+        from repro.utils import cpus
 
+        assert affinity.available_cpus is cpus.available_cpus
+        assert dispatch.available_cpus is cpus.available_cpus
 
-class TestSharding:
-    def test_small_input_runs_as_one_direct_call(self, monkeypatch):
-        # Below two rows per worker the shards cannot pay off.
-        monkeypatch.setenv("REPRO_KERNEL_THREADS", "4")
-        calls = []
+    def test_executor_is_reused_until_the_width_changes(self, fresh_pool):
+        executor = dispatch.shared_executor(3)
+        try:
+            assert dispatch.shared_executor(3) is executor
+            assert executor._max_workers == 3
+            narrower = dispatch.shared_executor(2)
+            assert narrower is not executor and narrower._max_workers == 2
+            # A caller still holding the replaced pool can finish its map.
+            assert list(executor.map(abs, [-1, -2])) == [1, 2]
+        finally:
+            executor.shutdown(wait=True)
 
-        def compute(start, stop):
-            calls.append((start, stop))
-            return np.arange(start, stop)
-
-        np.testing.assert_array_equal(dispatch.run_sharded(compute, 7), np.arange(7))
-        assert calls == [(0, 7)]
-
-    def test_one_thread_never_shards(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_THREADS", "1")
-        calls = []
-
-        def compute(start, stop):
-            calls.append((start, stop))
-            return np.arange(start, stop)
-
-        np.testing.assert_array_equal(
-            dispatch.run_sharded(compute, 100), np.arange(100)
-        )
-        assert calls == [(0, 100)]
-
-    def test_shards_cover_every_row_once_in_order(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_THREADS", "3")
-        calls = []
-
-        def compute(start, stop):
-            calls.append((start, stop))
-            return np.arange(start, stop)
-
-        np.testing.assert_array_equal(dispatch.run_sharded(compute, 10), np.arange(10))
-        assert sorted(calls) == [(0, 4), (4, 8), (8, 10)]
-
-    def test_run_sharded_sum_adds_the_partials(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_THREADS", "2")
-        data = np.arange(40, dtype=np.int64).reshape(20, 2)
-        total = dispatch.run_sharded_sum(
-            lambda start, stop: data[start:stop].sum(axis=0), 20
-        )
-        np.testing.assert_array_equal(total, data.sum(axis=0))
-
-    def test_executor_is_built_once_and_reused(self):
-        assert dispatch._shared_executor() is dispatch._shared_executor()
+    def test_fork_reset_drops_the_inherited_pool(self, fresh_pool):
+        executor = dispatch.shared_executor(2)
+        lock = dispatch._POOL_LOCK
+        try:
+            dispatch._reset_pool_after_fork()
+            assert dispatch._POOL is None
+            assert dispatch._POOL_LOCK is not lock
+        finally:
+            executor.shutdown(wait=True)
 
 
 class TestKernelProfiling:
@@ -189,12 +128,13 @@ class TestKernelProfiling:
             kernel(a, b)
             kernel(a, b)
         snapshot = dispatch.kernel_profile_snapshot()
-        entry = snapshot["linear.matmul[numpy]"]
+        assert list(snapshot) == ["linear.matmul"]
+        entry = snapshot["linear.matmul"]
         assert entry["calls"] == 2
         assert entry["total_ms"] >= 0.0
         assert entry["mean_ms"] == pytest.approx(entry["total_ms"] / 2)
         assert entry["kernel"] == "linear.matmul"
-        assert entry["backend"] == "numpy"
+        assert "backend" not in entry
 
     def test_wrapper_is_stable_across_resolutions(self):
         with dispatch.profile_kernels():
@@ -226,4 +166,4 @@ class TestKernelProfiling:
             with pytest.raises(ValueError):
                 kernel(np.ones((2, 3)), np.ones((5, 2)))  # shape mismatch
         snapshot = dispatch.kernel_profile_snapshot()
-        assert snapshot["linear.matmul[numpy]"]["calls"] == 1
+        assert snapshot["linear.matmul"]["calls"] == 1

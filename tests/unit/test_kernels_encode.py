@@ -1,10 +1,12 @@
 """Unit tests for the fused encode kernels and their encoder integration."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from repro.hdc.encoders import NGramEncoder, RecordEncoder
-from repro.kernels.dispatch import use_backend
+from repro.kernels import dispatch
 from repro.kernels.encode import NGramAccumulator, RecordAccumulator, build_accumulator
 from repro.kernels.packed import pack_bipolar
 
@@ -37,6 +39,13 @@ def reference_ngram_accumulate(encoder, levels):
     return accumulated
 
 
+#: Record-encoder shape of the pool tests: 12 features at D=256, with a
+#: scratch budget of exactly eight width-1 rows.
+POOL_FEATURES = 12
+POOL_DIMENSION = 256
+POOL_SCRATCH_BYTES = 8 * POOL_FEATURES * POOL_DIMENSION
+
+
 class TestRecordAccumulator:
     def test_fused_lut_matches_seed_loop(self, features):
         encoder = RecordEncoder(dimension=256, num_levels=8, seed=0).fit(features)
@@ -59,12 +68,93 @@ class TestRecordAccumulator:
         assert fused.table_bytes > factored.table_bytes
         np.testing.assert_array_equal(fused(levels), factored(levels))
 
-    def test_threaded_backend_matches_numpy(self, features):
-        encoder = RecordEncoder(dimension=256, num_levels=8, seed=1).fit(features)
+    @pytest.mark.parametrize("tie_break", ["positive", "random"])
+    @pytest.mark.parametrize("width", [2, 3])
+    @pytest.mark.parametrize(
+        "blocks", ["one row", "one block", "one block + 1 row", "several blocks"]
+    )
+    def test_pool_widths_are_bit_identical(
+        self, features, kernel_pool, tie_break, width, blocks
+    ):
+        block = POOL_SCRATCH_BYTES // (width * POOL_FEATURES * POOL_DIMENSION)
+        rows = {
+            "one row": 1,
+            "one block": block,
+            "one block + 1 row": block + 1,
+            "several blocks": 3 * block + 2,
+        }[blocks]
+        batch = features[:rows]
+
+        def encode_at(pool_width):
+            encoder = RecordEncoder(
+                dimension=POOL_DIMENSION, num_levels=8, tie_break=tie_break, seed=1
+            ).fit(features)
+            dispatches = kernel_pool(pool_width, POOL_SCRATCH_BYTES)
+            accumulated = encoder._accumulate(encoder._quantizer.transform(batch))
+            encoded = encoder.encode(batch)
+            packed = encoder.encode_packed(batch)
+            return {
+                "accumulated": accumulated,
+                "encoded": encoded,
+                "packed": packed.words,
+                "rng_state": encoder._rng.bit_generator.state,
+                "pool_dispatches": len(dispatches),
+            }
+
+        direct = encode_at(1)
+        pooled = encode_at(width)
+        assert direct["pool_dispatches"] == 0  # width 1 never starts a pool
+        reference = RecordEncoder(dimension=POOL_DIMENSION, num_levels=8, seed=1)
+        reference.fit(features)
+        np.testing.assert_array_equal(
+            direct["accumulated"],
+            reference_record_accumulate(reference, reference._quantizer.transform(batch)),
+        )
+        for output in ("accumulated", "encoded", "packed"):
+            np.testing.assert_array_equal(pooled[output], direct[output])
+        # The tie-break RNG is drawn only by the calling thread, after
+        # accumulation, so the stream is where it would be at width 1.
+        assert pooled["rng_state"] == direct["rng_state"]
+        # One block runs directly; every larger batch maps over the pool
+        # (three kernel calls above: accumulate, encode, encode_packed).
+        assert pooled["pool_dispatches"] == (0 if rows <= block else 3)
+
+
+class TestForkSafety:
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs the fork start method",
+    )
+    def test_forked_child_encodes_after_the_parent_used_the_pool(
+        self, features, kernel_pool
+    ):
+        encoder = RecordEncoder(
+            dimension=POOL_DIMENSION, num_levels=8, tie_break="positive", seed=2
+        ).fit(features)
         levels = encoder._quantizer.transform(features)
+        dispatches = kernel_pool(2, POOL_SCRATCH_BYTES)
         expected = encoder._accumulate(levels)
-        with use_backend("threaded"):
-            np.testing.assert_array_equal(encoder._accumulate(levels), expected)
+        assert dispatches and dispatch._POOL is not None  # the pool is live
+
+        context = multiprocessing.get_context("fork")
+        receiver, sender = context.Pipe(duplex=False)
+
+        def child():
+            # Still a faked 2-CPU mask: the child takes the pool path too.
+            sender.send(encoder._accumulate(levels))
+
+        process = context.Process(target=child)
+        process.start()
+        try:
+            assert receiver.poll(30), "forked child hung on the inherited pool"
+            result = receiver.recv()
+        finally:
+            process.join(timeout=10)
+            if process.is_alive():
+                process.kill()
+                process.join(timeout=10)
+        assert not process.is_alive()
+        np.testing.assert_array_equal(result, expected)
 
 
 class TestNGramRegression:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.bnn_model import BNNTrainer, SingleLayerBNN
 from repro.core.configs import DEFAULT_CONFIG
-from repro.kernels.dispatch import use_backend, use_float_dtype
+from repro.kernels.dispatch import get_kernel, use_float_dtype
 from repro.kernels.linear import as_float, matmul, sign_bipolar
 from repro.nn.losses import cross_entropy_from_logits, one_hot, softmax
 
@@ -43,13 +43,11 @@ class TestMatmul:
         b = rng.normal(size=(4, 3)).astype(np.float32)
         np.testing.assert_array_equal(matmul(a, b), a @ b)
 
-    def test_threaded_backend_matches(self):
+    def test_registered_kernel_matches_operator(self):
         rng = np.random.default_rng(1)
         a = rng.normal(size=(64, 16))
         b = rng.normal(size=(16, 8))
-        expected = a @ b
-        with use_backend("threaded"):
-            np.testing.assert_allclose(matmul(a, b), expected, rtol=1e-12)
+        np.testing.assert_array_equal(get_kernel("linear.matmul")(a, b), a @ b)
 
 
 class TestLossDtypes:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.hdc.hypervector import dot_similarity, random_hypervectors, sign_with_ties
-from repro.kernels.dispatch import use_backend
 from repro.kernels.packed import (
     bit_differences_words,
     pack_bipolar,
@@ -58,14 +57,19 @@ class TestPackedDotScores:
             )
 
 
-class TestThreadedBackend:
-    def test_bit_differences_threaded_matches_numpy(self):
+class TestRowBlocks:
+    def test_row_blocks_match_dense_hamming(self, monkeypatch):
+        import repro.kernels.packed as packed_module
+
         a = random_hypervectors(33, 500, seed=3)
         b = random_hypervectors(7, 500, seed=4)
         packed_a, packed_b = pack_bipolar(a), pack_bipolar(b)
-        expected = packed_a.bit_differences(packed_b)
-        with use_backend("threaded"):
-            np.testing.assert_array_equal(packed_a.bit_differences(packed_b), expected)
+        expected = (a[:, None, :] != b[None, :, :]).sum(axis=2)
+        # One query row per block, then the default budget (one block).
+        monkeypatch.setattr(packed_module, "_DISTANCE_BLOCK_BYTES", 1)
+        np.testing.assert_array_equal(packed_a.bit_differences(packed_b), expected)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(packed_a.bit_differences(packed_b), expected)
 
 
 class TestSignFuseBits:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.hdc.hypervector import dot_similarity, random_hypervectors
-from repro.kernels.dispatch import run_sharded_sum, use_backend
 from repro.kernels.packed import pack_bipolar
 from repro.kernels.train import (
     PackedTrainingSet,
@@ -66,13 +65,14 @@ class TestBundlePacked:
         np.add.at(expected, labels, vectors.astype(np.int64))
         np.testing.assert_array_equal(result, expected)
 
-    def test_threaded_backend_is_bit_identical(self, rng):
+    def test_matches_dense_add_at_on_unaligned_width(self, rng):
         vectors = random_hypervectors(80, 130, seed=5)
         labels = rng.integers(0, 7, size=80)
-        packed = pack_bipolar(vectors)
-        expected = bundle_packed(packed, labels, 7)
-        with use_backend("threaded"):
-            np.testing.assert_array_equal(bundle_packed(packed, labels, 7), expected)
+        expected = np.zeros((7, 130), dtype=np.int64)
+        np.add.at(expected, labels, vectors.astype(np.int64))
+        np.testing.assert_array_equal(
+            bundle_packed(pack_bipolar(vectors), labels, 7), expected
+        )
 
     def test_label_validation(self):
         packed = pack_bipolar(random_hypervectors(4, 64, seed=6))
@@ -137,24 +137,6 @@ class TestFlipFractionPacked:
         b = pack_bipolar(random_hypervectors(3, 64, seed=15))
         with pytest.raises(ValueError, match="differ"):
             flip_fraction_packed(a, b)
-
-
-class TestRunShardedSum:
-    def test_sums_partials_exactly(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_THREADS", "3")
-        rows = np.arange(60, dtype=np.int64).reshape(20, 3)
-        result = run_sharded_sum(
-            lambda start, stop: rows[start:stop].sum(axis=0), rows.shape[0]
-        )
-        np.testing.assert_array_equal(result, rows.sum(axis=0))
-
-    def test_small_inputs_take_the_direct_path(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_THREADS", "4")
-        rows = np.ones((3, 2), dtype=np.int64)
-        result = run_sharded_sum(
-            lambda start, stop: rows[start:stop].sum(axis=0), rows.shape[0]
-        )
-        np.testing.assert_array_equal(result, [3, 3])
 
 
 class TestEnsembleScoreboard:
