@@ -192,11 +192,11 @@ class HDCClassifierBase(RngMixin, abc.ABC):
     def adopt_packed_bank(self, packed: PackedHypervectors) -> None:
         """Install an externally held packed bank as this model's scoring words.
 
-        ``repro.cluster`` publishes the packed inference bank into a shared
-        memory segment; worker processes hand the attached zero-copy view back
-        through this method so :meth:`packed_inference_bank` (and therefore
-        every packed scoring call) reads the shared words instead of
-        re-packing a private copy.  The bank must match the fitted model's
+        ``repro.cluster`` ships the parent engine's packed inference bank to
+        each worker process inside its worker spec; the worker hands those
+        words back through this method so :meth:`packed_inference_bank` (and
+        therefore every packed scoring call) reads exactly the parent's words
+        instead of re-packing them.  The bank must match the fitted model's
         shape; only the packed cache is replaced, the dense hypervectors are
         untouched.
         """

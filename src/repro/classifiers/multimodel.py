@@ -479,7 +479,7 @@ class MultiModelHDC(HDCClassifierBase):
         return cache[1]
 
     def adopt_packed_bank(self, packed: PackedHypervectors) -> None:
-        """Install a shared flat ``(K * N, ceil(D/64))`` bank (see base class).
+        """Install an external flat ``(K * N, ceil(D/64))`` bank (see base class).
 
         The ensemble's resident words are the flat model bank, not the
         per-class majority vectors, so the shape check and the cache this

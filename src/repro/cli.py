@@ -14,9 +14,9 @@ regenerated without writing any Python:
   saved model and evaluate it on a dataset's test split;
 * ``python -m repro serve --model model.npz --port 8080`` — serve saved
   models over JSON/HTTP with micro-batched packed inference
-  (``--workers N`` adds the cluster tier: N worker processes sharing the
-  packed model bank through shared memory and receiving packed shards over
-  their pipes; ``--trace FILE`` writes JSONL request traces, ``--log-level
+  (``--workers N`` adds the cluster tier: N worker processes, each holding
+  the packed model bank and receiving packed shards over its pipe;
+  ``--trace FILE`` writes JSONL request traces, ``--log-level
   info`` enables the access log, and
   ``GET /metrics`` exposes Prometheus text format);
 * ``python -m repro loadgen --url http://host:8080`` — soak-test a serving
@@ -29,7 +29,7 @@ regenerated without writing any Python:
   ``--exemplars K`` lists the K slowest request traces by ID;
 * ``python -m repro top --url http://host:8080`` — live terminal dashboard
   over ``/v1/metrics``: per-tenant QPS/percentiles/SLO budgets, worker
-  utilisation, fleet paging, breakers; ``--once --json`` for scripts;
+  utilisation, fleet residency, breakers; ``--once --json`` for scripts;
 * ``python -m repro bench-serve`` — the serving throughput comparison
   (single-sample vs micro-batched, dense vs packed);
 * ``python -m repro bench-dispatch`` — the cluster dispatch micro-benchmark
@@ -142,8 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help=(
-            "inference worker processes sharing the packed model bank via "
-            "shared memory (1 = single-process serving)"
+            "inference worker processes, each holding the packed model "
+            "bank (1 = single-process serving)"
         ),
     )
     serve.add_argument(
@@ -184,10 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=(
-            "fleet-wide cap on resident shared-memory model banks when "
-            "--workers > 1; the least-recently-used tenant's bank (and its "
-            "worker pool) is paged out, to be cold-loaded on next use "
-            "(default: unbounded)"
+            "fleet-wide cap on live worker pools (one per model) when "
+            "--workers > 1; the least-recently-used tenant's pool is "
+            "closed, to be cold-loaded on next use (default: unbounded)"
         ),
     )
     serve.add_argument(
@@ -372,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=(
-            "fleet-wide cap on resident shared-memory banks for the "
-            "in-process target (LRU paging; requires --workers >= 2)"
+            "fleet-wide cap on live worker pools for the in-process "
+            "target (LRU eviction; requires --workers >= 2)"
         ),
     )
     loadgen.add_argument(
@@ -890,7 +889,7 @@ def command_loadgen(args) -> int:
     if args.max_resident_banks is not None and args.workers < 2:
         print(
             "error: --max-resident-banks requires --workers >= 2 "
-            "(bank paging is a fleet feature)",
+            "(the cap bounds worker pools)",
             file=sys.stderr,
         )
         return 1
@@ -977,8 +976,8 @@ def command_loadgen(args) -> int:
             else:
                 # Fleet soak: every tenant serves the same trained model
                 # (pinned, so registering N names costs one training run);
-                # banks and worker pools are still per-tenant, which is what
-                # the Zipf traffic pages in and out.
+                # worker pools are still per-tenant, which is what the Zipf
+                # traffic evicts and cold-loads under the residency cap.
                 for tenant in tenant_names:
                     registry.register(tenant, engine)
         try:
@@ -1009,7 +1008,7 @@ def command_loadgen(args) -> int:
             app, top_k=args.top_k, deadline_ms=args.deadline_ms
         )
 
-    # Chaos and fleet runs also audit shm hygiene: every segment the soak
+    # Chaos and fleet runs also audit shm hygiene: every stats slab the soak
     # creates must be gone once the app closes (a leak means a crashed
     # worker, a missed unlink, or an eviction that never reached close()).
     audit_shm = fault_plan is not None or (args.models > 1 and args.workers > 1)
@@ -1063,8 +1062,8 @@ def command_loadgen(args) -> int:
             "fleet soak validated: availability "
             f"{report['resilience']['availability']:.2%}, "
             f"{delta.get('cold_loads', 0)} cold loads, "
-            f"{delta.get('bank_evictions', 0)} evictions, "
-            f"{fleet_after.get('resident_banks', 0)} resident banks "
+            f"{delta.get('evictions', 0)} evictions, "
+            f"{fleet_after.get('dispatchers', 0)} live pools "
             f"(cap {args.max_resident_banks or 'none'}), "
             "zero leaked shm segments"
         )
@@ -1082,9 +1081,6 @@ def command_loadgen(args) -> int:
                 "hangs",
                 "shard_retries",
                 "worker_faults",
-                "bank_faults",
-                "bank_evictions",
-                "bank_restores",
             )
         )
         if not injected:

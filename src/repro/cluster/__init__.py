@@ -1,19 +1,17 @@
-"""repro.cluster — multi-process serving with shared-memory model residency.
+"""repro.cluster — multi-process serving over a pool of worker processes.
 
 The GIL caps the single-process serving stack at roughly one core of encode
 throughput no matter how many scheduler threads run.  This subpackage is the
-scale-out tier that breaks that cap without duplicating the model:
+scale-out tier that breaks that cap:
 
-* :mod:`repro.cluster.shared` — :class:`SharedModelStore` publishes packed
-  inference banks into ``multiprocessing.shared_memory`` segments
-  (refcounted; one physical copy serves every worker), plus the picklable
-  :class:`SharedBankHandle` / :class:`WorkerModelSpec` and the worker-side
-  :func:`build_worker_engine` that reconstructs a
-  :class:`~repro.serve.engine.PackedInferenceEngine` over the mapped words;
+* :mod:`repro.cluster.worker` — the worker process loop (the tiny
+  request/reply protocol over its pipe), plus the picklable
+  :class:`WorkerModelSpec` that carries the encoder and the packed class
+  bank to each worker by value, and :func:`build_worker_engine`, which
+  reconstructs a :class:`~repro.serve.engine.PackedInferenceEngine` over
+  those words;
 * :mod:`repro.cluster.transport` — the data plane: pickled request/reply
   frames over each worker's pipe, with exact byte accounting;
-* :mod:`repro.cluster.worker` — the worker process loop (the tiny
-  request/reply protocol over its pipe);
 * :mod:`repro.cluster.dispatcher` — :class:`ClusterDispatcher` validates +
   packs each batch once, shards the packed words across the pool, merges
   scores bit-identically (including the ensemble max-over-bank reduction),
@@ -30,8 +28,6 @@ Wired into serving as ``ServeApp(..., num_processes=N)`` /
 from repro.cluster.affinity import available_cpus, build_pin_map, pin_process
 from repro.cluster.dispatcher import ClusterDispatcher
 from repro.cluster.errors import (
-    BankEvictedError,
-    BankUnavailableError,
     ClusterError,
     DeadlineExceededError,
     DispatcherClosedError,
@@ -39,33 +35,17 @@ from repro.cluster.errors import (
     WorkerFaultError,
     WorkerStartupError,
 )
-from repro.cluster.shared import (
-    AttachedBank,
-    BankLease,
-    SharedBankHandle,
-    SharedModelStore,
-    WorkerModelSpec,
-    attach_bank,
-    build_worker_engine,
-    make_worker_spec,
-)
+from repro.cluster.worker import WorkerModelSpec, build_worker_engine, make_worker_spec
 
 __all__ = [
-    "AttachedBank",
-    "BankEvictedError",
-    "BankLease",
-    "BankUnavailableError",
     "ClusterDispatcher",
     "ClusterError",
     "DeadlineExceededError",
     "DispatcherClosedError",
-    "SharedBankHandle",
-    "SharedModelStore",
     "WorkerCrashedError",
     "WorkerFaultError",
     "WorkerModelSpec",
     "WorkerStartupError",
-    "attach_bank",
     "available_cpus",
     "build_pin_map",
     "build_worker_engine",

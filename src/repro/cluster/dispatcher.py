@@ -45,13 +45,13 @@ scoring dead work.  Deterministic chaos testing of all of these paths is
 provided by :mod:`repro.faults` — pass ``fault_plan=`` (or export
 ``REPRO_FAULTS``) and the plan rides the spawn arguments into every worker.
 
-Workers default to the ``fork`` start method when the platform offers it
-(instant startup, no spec pickling); set ``REPRO_CLUSTER_START_METHOD`` to
-``spawn`` or ``forkserver`` to override.  With parent-side packing the
-``sgn(0)`` tie-break RNG is consumed exactly once in the parent, so even
-``tie_break="random"`` encoders shard deterministically; engines without a
-fused accumulator fall back to shipping float rows, where per-worker RNG
-copies may resolve ties differently than a single process.
+Workers start with ``fork`` where the platform offers it (instant startup;
+the child inherits the worker spec, packed class bank included) and with
+``spawn`` elsewhere (the spec is pickled into the child).  With parent-side
+packing the ``sgn(0)`` tie-break RNG is consumed exactly once in the parent,
+so even ``tie_break="random"`` encoders shard deterministically; engines
+without a fused accumulator fall back to shipping float rows, where
+per-worker RNG copies may resolve ties differently than a single process.
 """
 
 from __future__ import annotations
@@ -66,18 +66,15 @@ import numpy as np
 
 from repro.cluster.affinity import build_pin_map, pin_process
 from repro.cluster.errors import (
-    BankEvictedError,
-    BankUnavailableError,
     DeadlineExceededError,
     DispatcherClosedError,
     WorkerCrashedError,
     WorkerFaultError,
     WorkerStartupError,
 )
-from repro.cluster.shared import SharedModelStore, make_worker_spec
 from repro.cluster.transport import ParentPipe
-from repro.cluster.worker import worker_main
-from repro.faults import PARENT_INDEX, PARENT_KINDS, FaultPlan
+from repro.cluster.worker import make_worker_spec, worker_main
+from repro.faults import FaultPlan
 from repro.obs.shm_metrics import (
     WorkerStatsSlab,
     merge_worker_stats,
@@ -106,14 +103,14 @@ def _reset_tracker_lock_after_fork() -> None:
 
     ``multiprocessing.resource_tracker`` guards its pipe with an ordinary
     ``threading`` lock and never re-initialises it after a fork.  In a busy
-    multi-tenant parent *any* thread — a shm publish, an eviction unlink —
-    may hold that lock at the fork moment; the child then deadlocks on its
-    very first shared-memory attach (``register`` → ``ensure_running``),
-    never reaches the ready handshake, and silently eats the whole startup
-    timeout while ``is_alive()`` stays true.  ``_SPAWN_LOCK`` cannot help:
-    the offending threads are not spawning workers.  A fresh lock in the
-    child is safe because the child only ever *sends* on the inherited
-    tracker pipe.
+    multi-tenant parent *any* thread — another dispatcher creating or
+    unlinking its stats slabs — may hold that lock at the fork moment; the
+    child then deadlocks on its stats-slab attach (``register`` →
+    ``ensure_running``), never reaches the ready handshake, and silently
+    eats the whole startup timeout while ``is_alive()`` stays true.
+    ``_SPAWN_LOCK`` cannot help: the offending threads are not spawning
+    workers.  A fresh lock in the child is safe because the child only ever
+    *sends* on the inherited tracker pipe.
     """
     tracker = getattr(_resource_tracker, "_resource_tracker", None)
     lock = getattr(tracker, "_lock", None)
@@ -126,23 +123,15 @@ if _resource_tracker is not None and hasattr(os, "register_at_fork"):
 
 
 def _default_start_method() -> str:
-    method = os.environ.get("REPRO_CLUSTER_START_METHOD")
-    if method:
-        return method
     return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 
 
 class _Worker:
-    __slots__ = ("process", "pipe", "generation")
+    __slots__ = ("process", "pipe")
 
-    def __init__(self, process, pipe: ParentPipe, generation: int):
+    def __init__(self, process, pipe: ParentPipe):
         self.process = process
         self.pipe = pipe
-        # Generation of the bank segment this worker has attached.  Request
-        # headers only carry a (re-)attach handle when the leased bank has
-        # moved past this, so steady-state traffic pays zero header bytes
-        # for the fleet-paging protocol.
-        self.generation = generation
 
 
 class _WorkerCrash(Exception):
@@ -173,26 +162,23 @@ class ClusterDispatcher:
     ----------
     engine:
         A packed-mode :class:`~repro.serve.engine.PackedInferenceEngine`;
-        its resident bank is published to shared memory and the engine
-        itself remains untouched (the parent can keep serving on it — the
-        dispatcher borrows only its validator and fused encoder for the
+        its packed bank goes to every worker inside the worker spec and the
+        engine itself remains untouched (the parent can keep serving on it —
+        the dispatcher borrows only its validator and fused encoder for the
         one-time parent-side pack).
     num_workers:
         Worker process count (>= 1).
-    store:
-        Optional shared :class:`SharedModelStore`.  When omitted the
-        dispatcher owns a private store and closes it on :meth:`close`.
     name:
-        Bank key in the store; defaults to the engine name.  Give versioned
-        keys (``"model@v3"``) when hot-swapping so old and new banks coexist.
+        Label for worker processes, metrics and errors; defaults to the
+        engine name (the serving layer passes ``"model@v3"``).
     cpu_affinity:
         ``None`` (no pinning, the default), ``"auto"`` (round-robin workers
         over the available CPUs via ``sched_setaffinity``), or an explicit
         CPU-id sequence to round-robin over.  Pinning is best-effort and
         recorded per worker in :meth:`info` so benchmark results stay honest.
-    start_method / startup_timeout / request_timeout:
-        Process start method override and the two failure deadlines
-        (seconds) for worker startup and a single sharded request; on
+    startup_timeout / request_timeout:
+        The two failure deadlines (seconds) for worker startup and a single
+        sharded request; on
         ``request_timeout`` the hung-but-alive worker is terminated and its
         shard retried once on the respawned pool.
     fault_plan:
@@ -215,10 +201,8 @@ class ClusterDispatcher:
         self,
         engine,
         num_workers: int = 2,
-        store: Optional[SharedModelStore] = None,
         name: Optional[str] = None,
         cpu_affinity: Union[None, str, Sequence[int]] = None,
-        start_method: Optional[str] = None,
         startup_timeout: float = 60.0,
         request_timeout: float = 60.0,
         fault_plan: Optional[FaultPlan] = None,
@@ -239,14 +223,6 @@ class ClusterDispatcher:
         self.startup_timeout = float(startup_timeout)
         self.request_timeout = float(request_timeout)
         self._fault_plan = fault_plan if fault_plan is not None else FaultPlan.from_env()
-        # Parent-side chaos cursor: the eviction-targeted kinds fire here,
-        # once per dispatch, under a pseudo worker index so their schedule is
-        # seed-stable and disjoint from every real worker's.
-        self._parent_injector = (
-            None
-            if self._fault_plan is None
-            else self._fault_plan.injector(PARENT_INDEX, kinds=PARENT_KINDS)
-        )
         self.cpu_count = os.cpu_count() or 1
         if cpu_affinity is None:
             self._pin_map: Dict[int, int] = {}
@@ -255,9 +231,7 @@ class ClusterDispatcher:
         else:
             self._pin_map = build_pin_map(self.num_workers, cpus=cpu_affinity)
         self._pinned: Dict[int, Optional[int]] = {}
-        self._context = multiprocessing.get_context(
-            start_method or _default_start_method()
-        )
+        self._context = multiprocessing.get_context(_default_start_method())
         # The engine stays resident parent-side: its validator and fused
         # encoder turn each batch into packed words exactly once before the
         # scatter, so workers receive 1-bit-per-dimension words instead of
@@ -266,17 +240,7 @@ class ClusterDispatcher:
         self._ship_packed = (
             engine.mode == "packed" and getattr(engine, "_accumulator", None) is not None
         )
-        self._owns_store = store is None
-        self._store = store if store is not None else SharedModelStore()
-        self._bank_key = self.name
-        handle = self._store.publish(self._bank_key, engine.packed_bank)
-        try:
-            self._spec = make_worker_spec(engine, handle)
-        except BaseException:
-            self._store.release(self._bank_key)
-            if self._owns_store:
-                self._store.close()
-            raise
+        self._spec = make_worker_spec(engine)
         self._tracer = tracer if tracer is not None else get_tracer()
         self._metrics = metrics
         self._lock = threading.Lock()
@@ -287,29 +251,18 @@ class ClusterDispatcher:
         self.shard_retries = 0
         self.worker_faults = 0
         self.deadline_skips = 0
-        self.bank_restores = 0
-        self.bank_faults = 0
         self._started_monotonic = time.monotonic()
         # One stats slab per worker *slot*, owned by the dispatcher for its
         # whole lifetime: respawned workers inherit their slot's slab, so the
         # fleet counters survive crashes instead of resetting mid-soak.
         self._slabs: List[WorkerStatsSlab] = []
+        self._closed_snapshots: List[dict] = []
         self._workers: List[Optional[_Worker]] = [None] * self.num_workers
         try:
             for _ in range(self.num_workers):
                 self._slabs.append(WorkerStatsSlab.create())
-            # Pin the bank while the initial pool attaches.  Without a lease,
-            # a concurrent publish under the fleet residency cap can pick the
-            # brand-new segment as its LRU victim between our publish above
-            # and the workers' attach, and every worker then fails startup
-            # with FileNotFoundError.  The lease also restores the bank (and
-            # re-specs the handle) if that race already happened.
-            startup_lease = self._acquire_bank_lease()
-            try:
-                for index in range(self.num_workers):
-                    self._workers[index] = self._spawn(index)
-            finally:
-                startup_lease.release()
+            for index in range(self.num_workers):
+                self._workers[index] = self._spawn(index)
         except BaseException:
             self.close()
             raise
@@ -390,7 +343,7 @@ class ClusterDispatcher:
 
     # -------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Stop the workers and release the shared bank (idempotent)."""
+        """Stop the workers and unlink their stats slabs (idempotent)."""
         with self._lock:
             if self._closed:
                 return
@@ -412,19 +365,17 @@ class ClusterDispatcher:
                 worker.process.terminate()
                 worker.process.join(timeout=1.0)
         # Slabs go away only after every worker has exited (workers hold
-        # attachments; the owner's close also unlinks the segment).
-        slabs, self._slabs = self._slabs, []
+        # attachments; the owner's close also unlinks the segment).  Their
+        # last readings stay behind, so a closed pool still reports what its
+        # workers did.
+        slabs = self._slabs
+        self._closed_snapshots = [slab.read() for slab in slabs]
+        self._slabs = []
         for slab in slabs:
             try:
                 slab.close()
             except (OSError, ValueError):  # pragma: no cover - already gone
                 pass
-        try:
-            self._store.release(self._bank_key)
-        except KeyError:  # pragma: no cover - store closed externally
-            pass
-        if self._owns_store:
-            self._store.close()
 
     def __enter__(self) -> "ClusterDispatcher":
         return self
@@ -448,9 +399,7 @@ class ClusterDispatcher:
                     "transport_errors": 0,
                     "worker_faults": self.worker_faults,
                     "deadline_skips": self.deadline_skips,
-                    "bank_faults": self.bank_faults,
                 },
-                "bank_restores": self.bank_restores,
                 "fault_plan": (
                     self._fault_plan.describe() if self._fault_plan else None
                 ),
@@ -463,7 +412,7 @@ class ClusterDispatcher:
                 ]
                 if self._pin_map
                 else None,
-                "shared_bank_bytes": self._spec.bank_handle.nbytes,
+                "bank_bytes": self._spec.packed_bank.storage_bytes,
                 "worker_pids": [
                     worker.process.pid
                     for worker in self._workers
@@ -482,7 +431,7 @@ class ClusterDispatcher:
         this is the single reader — so polling ``/v1/metrics`` never touches
         the request path.
         """
-        snapshots = [slab.read() for slab in self._slabs]
+        snapshots = [slab.read() for slab in self._slabs] or self._closed_snapshots
         merged = merge_worker_stats(snapshots)
         uptime = time.monotonic() - self._started_monotonic
         return {
@@ -517,36 +466,6 @@ class ClusterDispatcher:
         if self._closed:
             raise DispatcherClosedError("ClusterDispatcher is closed")
 
-    def _restore_bank(self, slow: bool = False):
-        """Bring an evicted bank back from the parent engine (cold restore).
-
-        The parent engine keeps the packed words resident, so a restore is a
-        copy into a fresh segment — no disk load.  The worker spec is updated
-        in place so respawned workers attach the current generation.
-        """
-        if slow and self._fault_plan is not None:
-            time.sleep(self._fault_plan.slow_seconds)
-        handle = self._store.restore(self._bank_key, self._engine.packed_bank)
-        if handle.generation != self._spec.bank_handle.generation:
-            self.bank_restores += 1
-            self._spec.bank_handle = handle
-        return handle
-
-    def _acquire_bank_lease(self, slow: bool = False):
-        """Pin the bank for one dispatch, cold-restoring it if paged out."""
-        for _ in range(3):
-            try:
-                return self._store.lease(self._bank_key)
-            except BankEvictedError:
-                self._restore_bank(slow=slow)
-                slow = False  # the injected slow cold-load sleeps once
-        return self._store.lease(self._bank_key)
-
-    def _refresh_bank_lease(self, lease):
-        """Re-pin after a bank-stale retry signal (segment may be gone)."""
-        lease.release()
-        return self._acquire_bank_lease()
-
     def _child_span(self, name: str, attrs=None):
         """A recording span only when the calling thread is already inside a
         sampled trace; the shared null span otherwise.
@@ -567,10 +486,6 @@ class ClusterDispatcher:
                 # never has to launch a tracker of its own mid-bootstrap.
                 _resource_tracker.ensure_running()
             parent_connection, child_connection = self._context.Pipe(duplex=True)
-            # The child attaches whatever handle the spec carries at fork
-            # time; remember its generation so request headers can skip the
-            # re-attach handle while the worker is already current.
-            spawn_generation = self._spec.bank_handle.generation
             process = None
             try:
                 process = self._context.Process(
@@ -619,7 +534,7 @@ class ClusterDispatcher:
         cpu = self._pin_map.get(index)
         if cpu is not None:
             self._pinned[index] = cpu if pin_process(process.pid, cpu) else None
-        return _Worker(process, ParentPipe(parent_connection), spawn_generation)
+        return _Worker(process, ParentPipe(parent_connection))
 
     def _ensure_worker(self, index: int) -> _Worker:
         """The live worker at *index*, respawning a retired/dead one.
@@ -682,8 +597,6 @@ class ClusterDispatcher:
                 raise DeadlineExceededError(message)
             if kind == "InjectedFaultError":
                 raise WorkerFaultError(message)
-            if kind == "BankUnavailableError":
-                raise BankUnavailableError(message)
             raise RuntimeError(f"worker error ({kind}): {message}")
         # ``("ok", scalar, arrays, spans)`` — scalar carries ping/poison
         # results, arrays carry scoring results (1 array = scores, 2 = the
@@ -740,26 +653,11 @@ class ClusterDispatcher:
             try:
                 worker = self._ensure_worker(index)
             except WorkerStartupError as error:
-                # A respawn may have failed because its bank segment was
-                # yanked mid-churn; flag the bank stale so the retry round
-                # re-pins (and if needed restores) it before respawning.
                 state["spawn_error"] = state["spawn_error"] or error
                 state["retry_error"] = None
-                state["bank_stale"] = True
                 retry.append(shard_index)
                 continue
-            bank = state.get("bank")
-            if bank is not None and bank.generation == worker.generation:
-                # The worker already holds this materialisation: omit the
-                # handle so steady-state headers stay handle-free.
-                bank = None
-            header = {
-                "op": op[0],
-                "kind": kind,
-                "ctx": ctx,
-                "deadline": deadline,
-                "bank": bank,
-            }
+            header = {"op": op[0], "kind": kind, "ctx": ctx, "deadline": deadline}
             if op[0] == "top_k":
                 header["k"] = int(op[1])
             try:
@@ -769,8 +667,8 @@ class ClusterDispatcher:
                 state["retry_error"] = None
                 retry.append(shard_index)
                 continue
-            assignments.append((shard_index, index, worker, bank))
-        for shard_index, index, worker, sent_bank in assignments:
+            assignments.append((shard_index, index, worker))
+        for shard_index, index, worker in assignments:
             try:
                 payload, worker_spans = self._receive(worker, deadline)
             except _WorkerHang as hang:
@@ -805,23 +703,9 @@ class ClusterDispatcher:
                 state["retry_error"] = error
                 retry.append(shard_index)
                 continue
-            except BankUnavailableError as error:
-                # The worker lost the unlink-vs-attach race: the segment we
-                # addressed vanished before it could map it.  The reply was
-                # consumed and the worker is alive; retry after restoring
-                # the bank to a fresh segment.
-                self.bank_faults += 1
-                state["retry_error"] = error
-                state["bank_stale"] = True
-                retry.append(shard_index)
-                continue
             except (ValueError, RuntimeError) as error:
                 state["request_error"] = state["request_error"] or error
                 continue
-            if sent_bank is not None:
-                # A successful reply proves the worker followed the handle
-                # and re-attached; later headers can drop it again.
-                worker.generation = sent_bank.generation
             results[shard_index] = payload
             for record in worker_spans:
                 self._tracer.emit_record(record)
@@ -846,93 +730,63 @@ class ClusterDispatcher:
             "dispatch", attrs={"op": op[0], "rows": int(features.shape[0])}
         ) as span:
             self._check_open()
-            # Parent-side chaos: the eviction-targeted kinds page our own
-            # bank out right here, so the lease acquisition below exercises
-            # the cold-restore path mid-stream.  "unlink" force-unlinks even
-            # under other dispatchers' leases; after the restore it yanks
-            # the fresh segment too, racing the workers' attach.
-            fault = (
-                self._parent_injector.draw()
-                if self._parent_injector is not None
-                else None
+            if self._ship_packed:
+                # Validate + encode + pack exactly once, parent-side: a bad
+                # feature width raises here (same ValueError/400 as the
+                # engine), and the pipes then carry 1-bit-per-dimension
+                # words instead of float rows.
+                validated = self._engine._validate(features)
+                rows = self._engine._encode_packed(validated).words
+                kind = "packed"
+            else:
+                rows = features
+                kind = "dense"
+            # The span context (None when unsampled) rides each request
+            # header; workers reply with finished ``worker:score`` records
+            # that we stitch into the parent trace below — the worker never
+            # touches the trace file, so there is exactly one writer.
+            ctx = span.context
+            num_shards = max(1, min(self.num_workers, rows.shape[0]))
+            offset = self._round_robin
+            self._round_robin = (offset + num_shards) % self.num_workers
+            shards = np.array_split(rows, num_shards, axis=0)
+            span.set("shards", num_shards)
+            span.set("kind", kind)
+            results: list = [None] * num_shards
+            state: dict = {
+                "spawn_error": None,
+                "request_error": None,
+                "deadline_error": None,
+                "retry_error": None,
+            }
+            retry = self._run_shards(
+                op, kind, ctx, shards, range(num_shards), offset,
+                deadline, results, state,
             )
-            if fault is not None:
-                self._store.evict(self._bank_key, force=(fault == "unlink"))
-            lease = self._acquire_bank_lease(slow=(fault == "slow_load"))
-            try:
-                if fault == "unlink":
-                    self._store.evict(self._bank_key, force=True)
-                if self._ship_packed:
-                    # Validate + encode + pack exactly once, parent-side: a
-                    # bad feature width raises here (same ValueError/400 as
-                    # the engine), and the pipes then carry 1-bit-per-
-                    # dimension words instead of float rows.
-                    validated = self._engine._validate(features)
-                    rows = self._engine._encode_packed(validated).words
-                    kind = "packed"
+            if retry and state["deadline_error"] is None:
+                if deadline is not None and time.monotonic() >= deadline:
+                    state["deadline_error"] = DeadlineExceededError(
+                        f"deadline expired before shard retry on {self.name!r}"
+                    )
                 else:
-                    rows = features
-                    kind = "dense"
-                # The span context (None when unsampled) rides each request
-                # header; workers reply with finished ``worker:score``
-                # records that we stitch into the parent trace below — the
-                # worker never touches the trace file, so there is exactly
-                # one writer.
-                ctx = span.context
-                num_shards = max(1, min(self.num_workers, rows.shape[0]))
-                offset = self._round_robin
-                self._round_robin = (offset + num_shards) % self.num_workers
-                shards = np.array_split(rows, num_shards, axis=0)
-                span.set("shards", num_shards)
-                span.set("kind", kind)
-                results: list = [None] * num_shards
-                state: dict = {
-                    "spawn_error": None,
-                    "request_error": None,
-                    "deadline_error": None,
-                    "retry_error": None,
-                    "bank": lease.handle,
-                    "bank_stale": False,
-                }
-                retry = self._run_shards(
-                    op, kind, ctx, shards, range(num_shards), offset,
-                    deadline, results, state,
-                )
-                if retry and state["deadline_error"] is None:
-                    if deadline is not None and time.monotonic() >= deadline:
-                        state["deadline_error"] = DeadlineExceededError(
-                            f"deadline expired before shard retry on "
-                            f"{self.name!r}"
-                        )
-                    else:
-                        self.shard_retries += len(retry)
-                        span.set("retried_shards", len(retry))
-                        if state["bank_stale"]:
-                            # The segment the first round addressed is gone
-                            # (eviction churn won an unlink race); restore
-                            # before the retry so the respawned/re-attaching
-                            # workers find live words.
-                            lease = self._refresh_bank_lease(lease)
-                            state["bank"] = lease.handle
-                            state["bank_stale"] = False
-                        retry = self._run_shards(
-                            op, kind, ctx, shards, retry, offset, deadline,
-                            results, state,
-                        )
-                if state["deadline_error"] is not None:
-                    raise state["deadline_error"]
-                if retry:
-                    error = state["retry_error"]
-                    if error is not None:
-                        raise error
-                    raise WorkerCrashedError(
-                        f"shard(s) {sorted(retry)} of {self.name!r} failed "
-                        "twice (workers respawning on next use)"
-                    ) from state["spawn_error"]
-                if state["request_error"] is not None:
-                    raise state["request_error"]
-            finally:
-                lease.release()
+                    self.shard_retries += len(retry)
+                    span.set("retried_shards", len(retry))
+                    retry = self._run_shards(
+                        op, kind, ctx, shards, retry, offset, deadline,
+                        results, state,
+                    )
+            if state["deadline_error"] is not None:
+                raise state["deadline_error"]
+            if retry:
+                error = state["retry_error"]
+                if error is not None:
+                    raise error
+                raise WorkerCrashedError(
+                    f"shard(s) {sorted(retry)} of {self.name!r} failed "
+                    "twice (workers respawning on next use)"
+                ) from state["spawn_error"]
+            if state["request_error"] is not None:
+                raise state["request_error"]
         if self._metrics is not None:
             self._metrics.record_stage("dispatch", time.perf_counter() - started)
         return results

@@ -45,26 +45,6 @@ class WorkerFaultError(ClusterError):
     """
 
 
-class BankEvictedError(ClusterError):
-    """The shared bank for this key was paged out under the residency cap.
-
-    Raised by :meth:`SharedModelStore.lease` when the key is still published
-    (a dispatcher holds a refcount) but its segment was evicted.  The caller
-    recovers by calling :meth:`SharedModelStore.restore` with the packed
-    words — a bank-level cold load — and leasing again.
-    """
-
-
-class BankUnavailableError(ClusterError):
-    """A worker could not attach the shared bank a dispatch addressed.
-
-    The unlink-vs-attach race: the segment named in the op header was
-    unlinked between the parent's send and the worker's attach (eviction
-    churn, or injected chaos).  Retryable — the dispatcher restores the bank
-    to a fresh segment and re-runs the shard.
-    """
-
-
 class DeadlineExceededError(ClusterError):
     """The request's deadline expired before scoring completed.
 
@@ -77,8 +57,6 @@ class DeadlineExceededError(ClusterError):
 
 
 __all__ = [
-    "BankEvictedError",
-    "BankUnavailableError",
     "ClusterError",
     "DeadlineExceededError",
     "DispatcherClosedError",

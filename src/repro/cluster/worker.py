@@ -1,10 +1,16 @@
-"""The inference worker process: one engine view, one pipe.
+"""The inference worker process: one engine, one pipe.
 
 Each worker rebuilds a full :class:`~repro.serve.engine.PackedInferenceEngine`
-from a :class:`~repro.cluster.shared.WorkerModelSpec` — encoder tables private,
-packed model bank mapped zero-copy from the parent's shared segment — then
-answers a tiny request protocol over its duplex pipe
-(:class:`~repro.cluster.transport.WorkerPipe` owns the frame format).
+from a :class:`WorkerModelSpec` — the encoder, the per-class hypervectors and
+the packed ``uint64`` model bank, shipped by value — then answers a tiny
+request protocol over its duplex pipe
+(:class:`~repro.cluster.transport.WorkerPipe` owns the frame format).  The
+bank is small (``K x ceil(D/64)`` words; a few KB for a shared-rule model),
+so it travels inside the spec: a ``fork`` child inherits the parent's words,
+a ``spawn`` child unpickles them.  Either way they are the words the parent
+scores with, and the worker installs them through
+:meth:`~repro.classifiers.base.HDCClassifierBase.adopt_packed_bank`, whose
+shape check guards against a bank from the wrong model.
 
 Requests are ``(header, arrays)`` pairs; replies are ``send_ok(scalar,
 arrays, spans)`` or ``send_error(kind, message)``:
@@ -57,7 +63,107 @@ startup failure.
 
 from __future__ import annotations
 
-from repro.cluster.shared import WorkerModelSpec, build_worker_engine
+import copy
+from dataclasses import dataclass
+from typing import Optional, Tuple
+
+import numpy as np
+
+from repro.io import FrozenClassifier, FrozenEnsembleClassifier
+from repro.kernels.packed import PackedHypervectors
+
+
+@dataclass
+class WorkerModelSpec:
+    """Everything a worker needs to rebuild a serving engine.
+
+    ``packed_bank`` is the parent engine's resident scoring words — the
+    ``(K, ceil(D/64))`` class bank, or the flat ``(K * N, ceil(D/64))`` bank
+    of a SearcHD ensemble — so the worker scores with exactly the parent's
+    words.  ``ensemble_shape`` is the ``(K, N, D)`` of an ensemble bank, or
+    ``None`` for shared-rule classifiers.
+    """
+
+    name: str
+    encoder: object
+    class_hypervectors: np.ndarray
+    ensemble_shape: Optional[Tuple[int, int, int]]
+    packed_bank: PackedHypervectors
+    metadata: dict
+
+
+def make_worker_spec(engine) -> WorkerModelSpec:
+    """Extract the worker-side state from a parent-process engine.
+
+    The encoder is shallow-copied with its compiled accumulator dropped (the
+    fused LUT can run to megabytes and is rebuilt once per worker), so the
+    parent's encoder keeps its compiled tables untouched.
+    """
+    if engine.mode != "packed":
+        raise ValueError(
+            "cluster serving requires the packed scoring path; "
+            f"engine {engine.name!r} compiled in {engine.mode!r} mode"
+        )
+    encoder = copy.copy(engine.encoder)
+    encoder._accumulator = None
+    encoder._accumulator_budget = None
+    bank = getattr(engine.classifier, "model_hypervectors_", None)
+    return WorkerModelSpec(
+        name=engine.name,
+        encoder=encoder,
+        class_hypervectors=engine.classifier.class_hypervectors_,
+        ensemble_shape=tuple(bank.shape) if bank is not None else None,
+        packed_bank=engine.packed_bank,
+        metadata=dict(engine.metadata),
+    )
+
+
+class _PackedOnlyEnsemble(FrozenEnsembleClassifier):
+    """Worker-side ensemble carrier whose dense bank never left the parent.
+
+    Its ``model_hypervectors_`` is a shape-only broadcast stub (the spec
+    carries only the packed words), so the dense scoring path must be
+    loudly unavailable rather than silently wrong.
+    """
+
+    def decision_scores(self, hypervectors):
+        raise RuntimeError(
+            "the dense model bank is not resident in this worker; "
+            "only packed scoring is available"
+        )
+
+    def _score_bank(self):  # pragma: no cover - guard path
+        raise RuntimeError("the dense model bank is not resident in this worker")
+
+
+def build_worker_engine(spec: WorkerModelSpec):
+    """Reconstruct a ``PackedInferenceEngine`` over the spec's packed bank."""
+    from repro.classifiers.pipeline import HDCPipeline
+    from repro.serve.engine import PackedInferenceEngine
+
+    if spec.ensemble_shape is not None:
+        num_classes, models_per_class, dimension = spec.ensemble_shape
+        classifier = _PackedOnlyEnsemble(models_per_class=models_per_class)
+        # Shape-only stand-in: packed scoring reads the bank's *shape* from
+        # this attribute and its *words* from the spec's packed bank, so the
+        # dense (K, N, D) array never crosses the process boundary.
+        classifier.model_hypervectors_ = np.broadcast_to(
+            np.zeros(1, dtype=np.int8), (num_classes, models_per_class, dimension)
+        )
+    else:
+        classifier = FrozenClassifier(tie_break=spec.encoder.tie_break)
+    classifier.class_hypervectors_ = spec.class_hypervectors
+    classifier.num_classes_ = int(spec.class_hypervectors.shape[0])
+
+    pipeline = HDCPipeline(spec.encoder, classifier)
+    pipeline._fitted = True
+    return PackedInferenceEngine(
+        pipeline,
+        name=spec.name,
+        mode="packed",
+        metadata=spec.metadata,
+        packed_bank=spec.packed_bank,
+    )
 
 
 def worker_main(
@@ -71,26 +177,15 @@ def worker_main(
     import os
     import time
 
-    import numpy as np
-
     from repro.classifiers.base import top_k_from_scores
-    from repro.cluster.shared import attach_bank
     from repro.cluster.transport import WorkerPipe
-    from repro.faults import WORKER_KINDS
-    from repro.kernels.packed import PackedHypervectors
     from repro.obs.shm_metrics import WorkerStatsSlab
     from repro.obs.trace import span_record
 
-    # Only the worker-side kinds: the eviction-targeted kinds in the same
-    # plan fire in the dispatcher, never here.
-    injector = (
-        None
-        if fault_plan is None
-        else fault_plan.injector(worker_index, kinds=WORKER_KINDS)
-    )
+    injector = None if fault_plan is None else fault_plan.injector(worker_index)
     stats = None
     try:
-        attached, engine = build_worker_engine(spec)
+        engine = build_worker_engine(spec)
         engine.warmup()
         if stats_slab_name is not None:
             stats = WorkerStatsSlab.attach(stats_slab_name)
@@ -102,28 +197,6 @@ def worker_main(
         return
     connection.send(("ready", os.getpid()))
     pipe = WorkerPipe(connection)
-
-    def _maybe_reattach(header):
-        """Follow the bank across evictions: when the op header carries a
-        newer generation than the mapped segment, re-attach and adopt.
-
-        The old mapping stays valid even after its segment was unlinked
-        (POSIX keeps the pages alive until the last map drops), so a worker
-        that merely *holds* a superseded generation keeps scoring correctly;
-        this hook is what lets it catch up to the restored segment instead
-        of crashing.  Raises ``FileNotFoundError`` if the new segment lost
-        an unlink race — the caller turns that into a typed, retryable
-        ``BankUnavailableError`` reply.
-        """
-        nonlocal attached
-        handle = header.get("bank")
-        if handle is None or handle.generation == attached.handle.generation:
-            return
-        fresh = attach_bank(handle)
-        stale, attached = attached, fresh
-        engine.classifier.adopt_packed_bank(fresh.packed)
-        engine._packed_classes = engine.classifier.packed_inference_bank()
-        stale.close()
 
     def _score(header, arrays):
         """Run one scoring op; returns ``(arrays, spans)`` + records stats."""
@@ -222,16 +295,6 @@ def worker_main(
                             "InjectedFaultError", "injected error-reply fault"
                         )
                         continue
-                    try:
-                        _maybe_reattach(header)
-                    except FileNotFoundError:
-                        bank = header.get("bank")
-                        pipe.send_error(
-                            "BankUnavailableError",
-                            f"bank segment {getattr(bank, 'segment', '?')} "
-                            "vanished before attach",
-                        )
-                        continue
                     payload, spans = _score(header, arrays)
                     pipe.send_ok(None, payload, spans)
                 elif op == "ping":
@@ -246,7 +309,11 @@ def worker_main(
         pipe.close()
         if stats is not None:
             stats.close()
-        attached.close()
 
 
-__all__ = ["worker_main"]
+__all__ = [
+    "WorkerModelSpec",
+    "build_worker_engine",
+    "make_worker_spec",
+    "worker_main",
+]

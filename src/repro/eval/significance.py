@@ -12,7 +12,9 @@ provides the two tests a careful reader would apply to such claims:
 
 Both are thin, explicit wrappers over ``scipy.stats`` so the benchmark
 harness and downstream users can quote p-values instead of eyeballing error
-bars.
+bars.  ``scipy`` is imported inside the functions that use it: importing
+``repro`` (every CLI command, every ``repro serve`` launch) must not pay for
+it, or require it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from repro.utils.validation import check_labels
 
@@ -66,6 +67,8 @@ def mcnemar_test(
             p_value=1.0,
             detail="no discordant predictions; classifiers are indistinguishable here",
         )
+    from scipy import stats
+
     result = stats.binomtest(min(only_a, only_b), discordant, p=0.5)
     return TestResult(
         statistic=float(min(only_a, only_b)),
@@ -102,6 +105,8 @@ def paired_accuracy_ttest(
             p_value=0.0 if not identical else 1.0,
             detail="constant difference across repetitions",
         )
+    from scipy import stats
+
     statistic, p_value = stats.ttest_rel(a, b)
     return TestResult(
         statistic=float(statistic),
@@ -122,6 +127,8 @@ def wilson_interval(correct: int, total: int, confidence: float = 0.95) -> tuple
         raise ValueError("correct must be in [0, total]")
     if not (0.0 < confidence < 1.0):
         raise ValueError("confidence must be in (0, 1)")
+    from scipy import stats
+
     z = float(stats.norm.ppf(0.5 + confidence / 2.0))
     proportion = correct / total
     denominator = 1.0 + z**2 / total

@@ -17,10 +17,7 @@ from repro.faults.plan import (
     ENV_SEED_VAR,
     ENV_VAR,
     FAULT_KINDS,
-    PARENT_INDEX,
-    PARENT_KINDS,
     PRESETS,
-    WORKER_KINDS,
     FaultInjector,
     FaultPlan,
     FaultRule,
@@ -30,9 +27,6 @@ __all__ = [
     "ENV_SEED_VAR",
     "ENV_VAR",
     "FAULT_KINDS",
-    "PARENT_INDEX",
-    "PARENT_KINDS",
-    "WORKER_KINDS",
     "FaultInjector",
     "FaultPlan",
     "FaultRule",

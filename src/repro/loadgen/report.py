@@ -59,14 +59,17 @@ def server_metrics_delta(before: dict, after: dict) -> dict:
             out["respawns"] += info.get("respawns", 0)
             for name, count in (info.get("failures") or {}).items():
                 out[name] = out.get(name, 0) + count
+        # Pools closed since (evicted or superseded) left the cluster block;
+        # their final counters live on in the fleet block.
+        retired = (snapshot.get("fleet") or {}).get("retired") or {}
+        for name, count in retired.items():
+            out[name] = out.get(name, 0) + count
         return out
 
     def fleet_totals(snapshot: dict) -> dict:
         fleet = snapshot.get("fleet") or {}
         return {
-            "bank_evictions": fleet.get("evictions", 0),
-            "bank_restores": fleet.get("restores", 0)
-            + fleet.get("bank_restores", 0),
+            "evictions": fleet.get("evictions", 0),
             "cold_loads": fleet.get("cold_loads", 0),
         }
 
@@ -87,10 +90,8 @@ def server_metrics_delta(before: dict, after: dict) -> dict:
         delta.update({key: last_f[key] - first_f[key] for key in last_f})
         fleet_after = after["fleet"]
         delta["fleet_after"] = {
-            "resident_banks": fleet_after.get("resident_banks", 0),
-            "peak_resident_banks": fleet_after.get("peak_resident_banks", 0),
-            "max_resident": fleet_after.get("max_resident"),
             "dispatchers": fleet_after.get("dispatchers", 0),
+            "max_resident_banks": fleet_after.get("max_resident_banks"),
         }
     if "tenancy" in after:
         first_t, last_t = tenant_totals(before), tenant_totals(after)
@@ -340,8 +341,8 @@ def validate_fleet_report(
     report: dict, max_resident_banks: Optional[int] = None
 ) -> None:
     """Raise ``ValueError`` unless a multi-tenant soak actually exercised the
-    fleet pager: cold loads happened, banks were evicted (the residency cap
-    bit), and the post-run residency stayed at or under the cap.
+    residency cap: cold loads happened, worker pools were evicted (the cap
+    bit), and the post-run count of live pools stayed at or under the cap.
 
     A capped Zipf soak that records zero evictions was either uncapped or
     never left the hot set — a vacuous pass either way — so this gate is
@@ -358,19 +359,18 @@ def validate_fleet_report(
         )
     if delta.get("cold_loads", 0) < 1:
         raise ValueError("fleet soak recorded no cold loads")
-    if delta.get("bank_evictions", 0) < 1:
+    if delta.get("evictions", 0) < 1:
         raise ValueError(
-            "fleet soak recorded no bank evictions — the residency cap "
+            "fleet soak recorded no evictions — the residency cap "
             "never engaged (cap too high for the tenant count?)"
         )
     if max_resident_banks is not None:
-        for gauge in ("resident_banks", "dispatchers"):
-            value = fleet_after.get(gauge, 0)
-            if value > max_resident_banks:
-                raise ValueError(
-                    f"{gauge} is {value}, above the residency cap "
-                    f"{max_resident_banks}"
-                )
+        value = fleet_after.get("dispatchers", 0)
+        if value > max_resident_banks:
+            raise ValueError(
+                f"dispatchers is {value}, above the residency cap "
+                f"{max_resident_banks}"
+            )
 
 
 def format_report(report: dict) -> str:
@@ -467,21 +467,19 @@ def format_report(report: dict) -> str:
             )
         fleet_after = delta.get("fleet_after")
         if fleet_after is not None:
-            cap = fleet_after.get("max_resident")
+            cap = fleet_after.get("max_resident_banks")
             rows.append(
                 [
                     "fleet paging",
                     f"+{delta.get('cold_loads', 0)} cold loads, "
-                    f"+{delta.get('bank_evictions', 0)} evictions, "
-                    f"+{delta.get('bank_restores', 0)} restores",
+                    f"+{delta.get('evictions', 0)} evictions",
                 ]
             )
             rows.append(
                 [
                     "fleet residency",
-                    f"{fleet_after.get('resident_banks', 0)} resident "
-                    f"(peak {fleet_after.get('peak_resident_banks', 0)}, "
-                    f"cap {'∞' if cap is None else cap})",
+                    f"{fleet_after.get('dispatchers', 0)} live pools "
+                    f"(cap {'∞' if cap is None else cap})",
                 ]
             )
         shed = {

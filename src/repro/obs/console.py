@@ -3,7 +3,8 @@
 A stdlib-only terminal dashboard over the serving tier: it polls ``GET
 /v1/metrics`` on an interval and renders one screen per poll — per-tenant
 traffic (QPS, p50/p99, queue depth), the SLO error-budget/burn-rate block,
-worker-pool health (utilisation, respawns), fleet residency/paging, circuit
+worker-pool health (utilisation, respawns), fleet residency (live pools,
+evictions, cold loads), circuit
 breakers, and the worker-pipe byte counters.  ``repro top --once --json``
 emits a single machine-readable view instead, which is what the CI smoke
 uses.
@@ -197,16 +198,14 @@ def render_view(view: dict, color: bool = True) -> str:
     fleet = view.get("fleet")
     if fleet:
         lines.append("")
-        cap = fleet.get("max_resident")
-        resident = f"{fleet.get('resident_banks', 0)}"
+        cap = fleet.get("max_resident_banks")
+        dispatchers = f"{fleet.get('dispatchers', 0)}"
         if cap:
-            resident += f"/{cap}"
+            dispatchers += f"/{cap}"
         lines.append(
             paint("FLEET  ", _DIM)
-            + f"banks={resident} evictions={fleet.get('evictions', 0)} "
-            f"restores={fleet.get('restores', 0)} "
-            f"cold_loads={fleet.get('cold_loads', 0)} "
-            f"dispatchers={fleet.get('dispatchers', 0)}"
+            + f"dispatchers={dispatchers} evictions={fleet.get('evictions', 0)} "
+            f"cold_loads={fleet.get('cold_loads', 0)}"
         )
         if view["breakers"]:
             states = " ".join(

@@ -16,8 +16,8 @@ Conventions:
 * per-model series carry a ``model`` label, per-stage histograms add
   ``stage``, cluster-worker series (including the worker-pipe byte/frame
   counters) carry ``dispatcher`` and ``worker``;
-* fleet-wide residency series are ``repro_fleet_*`` (resident banks,
-  evictions, restores, cold loads, leases) and per-tenant admission
+* fleet-wide residency series are ``repro_fleet_*`` (live dispatchers,
+  evictions, cold loads) and per-tenant admission
   counters are ``repro_tenant_*`` with a ``tenant`` label;
 * per-tenant SLO series are ``repro_slo_error_budget_remaining`` and
   ``repro_slo_burn_rate`` (``window="fast"|"slow"``), from the ``slo``
@@ -32,7 +32,7 @@ Conventions:
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
@@ -194,19 +194,6 @@ def render_prometheus(snapshot: Dict) -> str:
         )
         writer.sample("repro_prediction_cache_entries", cache["entries"])
 
-    shm = snapshot.get("shared_memory")
-    if shm is not None:
-        writer.declare(
-            "repro_shm_segments", "gauge", "Published shared-memory segments."
-        )
-        writer.sample("repro_shm_segments", shm["segments"])
-        writer.declare(
-            "repro_shm_resident_bytes",
-            "gauge",
-            "Bytes of packed model banks resident in shared memory.",
-        )
-        writer.sample("repro_shm_resident_bytes", shm["resident_bytes"])
-
     for dispatcher, info in sorted(snapshot.get("cluster", {}).items()):
         writer.declare(
             "repro_cluster_respawns_total", "counter", "Worker respawns after crashes."
@@ -295,24 +282,6 @@ def render_prometheus(snapshot: Dict) -> str:
     if fleet is not None:
         for name, kind, field, help_text in (
             (
-                "repro_fleet_resident_banks",
-                "gauge",
-                "resident_banks",
-                "Shared model banks currently resident.",
-            ),
-            (
-                "repro_fleet_peak_resident_banks",
-                "gauge",
-                "peak_resident_banks",
-                "High-water mark of resident shared banks.",
-            ),
-            (
-                "repro_fleet_leases",
-                "gauge",
-                "leases",
-                "Bank leases held by in-flight dispatches.",
-            ),
-            (
                 "repro_fleet_dispatchers",
                 "gauge",
                 "dispatchers",
@@ -322,13 +291,7 @@ def render_prometheus(snapshot: Dict) -> str:
                 "repro_fleet_evictions_total",
                 "counter",
                 "evictions",
-                "Bank segments paged out of shared memory.",
-            ),
-            (
-                "repro_fleet_restores_total",
-                "counter",
-                "restores",
-                "Paged-out banks re-materialised on demand.",
+                "Worker pools closed by the residency cap.",
             ),
             (
                 "repro_fleet_cold_loads_total",

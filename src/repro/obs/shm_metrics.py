@@ -4,7 +4,9 @@ The dispatcher's in-process counters go blind the moment a shard crosses the
 pipe into a ``repro.cluster`` worker.  Instead of shipping metrics messages
 back (which would tax the request path), each worker *publishes* its counters
 into a small fixed-layout shared-memory slab that the dispatcher maps and
-reads whenever someone asks for ``/v1/metrics``:
+reads whenever someone asks for ``/v1/metrics``.  These slabs are the only
+shared memory the serving tier creates (the model bank reaches workers by
+value, inside the worker spec):
 
 * one slab per worker *slot*, created by the dispatcher and kept for the
   dispatcher's lifetime — a respawned worker inherits its slot's slab, so
@@ -40,8 +42,8 @@ _NUM_SLOTS = len(_COUNTER_FIELDS) + _SKETCH_CELLS
 
 
 def _attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Attach without claiming cleanup ownership (same policy as
-    :mod:`repro.cluster.shared`: only the creator unlinks)."""
+    """Attach without claiming cleanup ownership: only the creator (the
+    dispatcher) unlinks."""
     try:
         return shared_memory.SharedMemory(name=name, track=False)
     except TypeError:  # Python < 3.13: attachments are never tracked

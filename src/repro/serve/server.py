@@ -14,7 +14,7 @@ Routes
                       here before in-flight batches finish;
 ``GET  /v1/models``   registry listing (every registered version);
 ``GET  /v1/metrics``  per-model counters, latency percentiles, queue depth,
-                      cluster fleet stats, shared-memory accounting, and the
+                      cluster fleet stats, worker stats-slab count, and the
                       per-tenant SLO burn-rate block (JSON);
 ``GET  /metrics``     the same snapshot in Prometheus text exposition;
 ``POST /v1/predict``  body ``{"model": name?, "features": [...], "top_k": k?,
@@ -61,7 +61,6 @@ from repro.cluster.errors import (
     DispatcherClosedError,
     WorkerCrashedError,
 )
-from repro.cluster.shared import SharedModelStore
 from repro.faults import FaultPlan
 from repro.obs.prometheus import CONTENT_TYPE as _PROMETHEUS_CONTENT_TYPE
 from repro.obs.prometheus import render_prometheus
@@ -172,9 +171,9 @@ class ServeApp:
         Micro-batching configuration applied to every model's scheduler.
     num_processes:
         When > 0, batches execute on a :class:`ClusterDispatcher` of this
-        many worker processes sharing the packed model bank through
-        ``multiprocessing.shared_memory`` (one dispatcher per promoted
-        model version; dense-mode models transparently stay in-process).
+        many worker processes, each holding a copy of the packed model bank
+        (one dispatcher per promoted model version; dense-mode models
+        transparently stay in-process).
     cache_size:
         Entry cap for the request-level LRU prediction cache keyed by
         ``(model, version, top_k, payload hash)``; ``0`` disables caching.
@@ -191,14 +190,13 @@ class ServeApp:
         429 ``tenant_rate_limited``, a full concurrency quota 429
         ``tenant_quota_exceeded`` — both with a ``Retry-After`` hint.
     max_resident_banks:
-        Fleet residency cap: at most this many cluster dispatchers (each
-        owning one shared packed bank plus its worker pool) stay live; the
+        Fleet residency cap: at most this many cluster dispatchers (each a
+        worker pool holding one model's packed bank) stay live; the
         least-recently-used one is closed when a cold load would exceed the
-        cap, and the shared store is created with the same ``max_resident``
-        so bank segments page out under the identical bound.  ``None``
-        (default) keeps every dispatcher resident.  Re-building an evicted
-        model on its next request is a *cold load*: timed into the
-        ``cold_load`` stage histogram and counted in the fleet metrics.
+        cap, counted as an eviction.  ``None`` (default) keeps every
+        dispatcher resident.  Re-building an evicted model on its next
+        request is a *cold load*: timed into the ``cold_load`` stage
+        histogram and counted in the fleet metrics.
     cold_load_retries:
         Transient cold-load failures (worker startup races, ...) are
         retried this many times with capped exponential backoff before the
@@ -300,7 +298,6 @@ class ServeApp:
         #: name -> (promoted version, dispatcher or None for dense fallback)
         self._dispatchers: Dict[str, Tuple[int, Optional[ClusterDispatcher]]] = {}
         self._cluster_lock = threading.Lock()
-        self._store: Optional[SharedModelStore] = None
         #: single-flight cold loads: one build lock per model name, so a
         #: thundering herd on a paged-out tenant spawns exactly one pool.
         self._build_locks: Dict[str, threading.Lock] = {}
@@ -308,6 +305,10 @@ class ServeApp:
         self._dispatcher_clock = itertools.count(1)
         self._dispatcher_last_used: Dict[str, int] = {}
         self._cold_loads = 0
+        self._evictions = 0
+        #: Final counters of worker pools already closed (evicted or
+        #: superseded), so fleet-wide totals never move backwards under churn.
+        self._retired: Dict[str, float] = {}
         self._draining = False
         self._inflight = 0
         self._inflight_cv = threading.Condition()
@@ -343,24 +344,22 @@ class ServeApp:
             }
         with self._cluster_lock:
             dispatchers = [d for _, d in self._dispatchers.values() if d is not None]
-            store = self._store
-            cold_loads = self._cold_loads
+            fleet = {
+                "cold_loads": self._cold_loads,
+                "evictions": self._evictions,
+                "dispatchers": len(dispatchers),
+                "max_resident_banks": self.max_resident_banks,
+                "retired": dict(self._retired),
+            }
             breakers = {
                 name: breaker.snapshot() for name, breaker in self._breakers.items()
             }
         if dispatchers:
             snapshot["cluster"] = {d.name: d.info() for d in dispatchers}
-        if store is not None:
+        if self.num_processes > 0:
             snapshot["shared_memory"] = {
-                "segments": len(store),
-                "resident_bytes": store.resident_bytes,
                 "stats_slabs": sum(d.num_workers for d in dispatchers),
             }
-            fleet = dict(store.stats())
-            fleet["cold_loads"] = cold_loads
-            fleet["dispatchers"] = len(dispatchers)
-            fleet["max_resident_banks"] = self.max_resident_banks
-            fleet["bank_restores"] = sum(d.bank_restores for d in dispatchers)
             if breakers:
                 fleet["breakers"] = breakers
             snapshot["fleet"] = fleet
@@ -748,11 +747,6 @@ class ServeApp:
                 self._dispatcher_last_used[name] = next(self._dispatcher_clock)
                 dispatcher = entry[1]
                 return dispatcher if dispatcher is not None else engine
-            if self._store is None:
-                self._store = SharedModelStore(
-                    max_resident=self.max_resident_banks
-                )
-            store = self._store
             build_lock = self._build_locks.setdefault(name, threading.Lock())
             breaker = self._breakers.get(name)
             if breaker is None:
@@ -782,7 +776,7 @@ class ServeApp:
                     dispatcher = entry[1]
                     return dispatcher if dispatcher is not None else engine
             try:
-                dispatcher = self._build_dispatcher(name, version, engine, store)
+                dispatcher = self._build_dispatcher(name, version, engine)
             except ValueError:
                 # Dense-mode engines (no packed bank to share) stay in-process.
                 dispatcher = None
@@ -795,12 +789,30 @@ class ServeApp:
             if stale is not None and stale[1] is not None:
                 # The superseded version's workers; close() waits behind the
                 # dispatcher's own lock for any in-flight batch to finish.
-                stale[1].close()
-            for old in evicted:
-                old.close()
+                evicted.append(stale[1])
+            self._retire_dispatchers(evicted)
             return dispatcher if dispatcher is not None else engine
 
-    def _build_dispatcher(self, name: str, version: int, engine, store):
+    def _retire_dispatchers(self, dispatchers) -> None:
+        """Close worker pools and fold their final counters into the fleet
+        block's ``retired`` totals (respawns, failures, worker requests and
+        busy seconds), which a closed pool's ``cluster`` entry no longer
+        carries."""
+        for dispatcher in dispatchers:
+            dispatcher.close()
+            info = dispatcher.info()
+            workers = info["workers"]["fleet"]
+            counts = dict(
+                info["failures"],
+                respawns=info["respawns"],
+                worker_requests=workers["requests"],
+                worker_busy_seconds=workers["busy_seconds"],
+            )
+            with self._cluster_lock:
+                for key, value in counts.items():
+                    self._retired[key] = self._retired.get(key, 0) + value
+
+    def _build_dispatcher(self, name: str, version: int, engine):
         """Cold-load one model's worker pool: retry transient failures with
         capped exponential backoff, time the winning attempt into the
         ``cold_load`` stage histogram, and convert exhaustion into 503
@@ -818,7 +830,6 @@ class ServeApp:
                 dispatcher = ClusterDispatcher(
                     engine,
                     num_workers=self.num_processes,
-                    store=store,
                     name=f"{name}@v{version}",
                     # Cold loads sit in the request path: a worker that is
                     # not up within 10s is pathological — fail the attempt
@@ -854,11 +865,11 @@ class ServeApp:
 
         Called under ``_cluster_lock``; pops the victims from the map (so no
         new request resolves them) and returns them for the caller to close
-        *outside* the lock.  Closing releases the victim's shared bank (the
-        store unlinks it at refcount zero) and reaps its workers, which is
-        what actually bounds fleet memory.  The entry being installed
-        (``keep``) is never a victim; dense fallbacks hold no bank and never
-        count.
+        *outside* the lock, counting each as an eviction.  Closing reaps the
+        victim's workers (and with them their copies of its packed bank),
+        which is what actually bounds fleet memory.  The entry being
+        installed (``keep``) is never a victim; dense fallbacks hold no
+        bank and never count.
         """
         if self.max_resident_banks is None:
             return []
@@ -878,6 +889,7 @@ class ServeApp:
             _, dispatcher = self._dispatchers.pop(key)
             self._dispatcher_last_used.pop(key, None)
             evicted.append(dispatcher)
+        self._evictions += len(evicted)
         return evicted
 
     # ------------------------------------------------------------------- drain
@@ -900,7 +912,7 @@ class ServeApp:
         The SIGTERM sequence: ``begin_drain`` flips ``/v1/readyz`` to 503 so
         the balancer stops routing here, requests already admitted keep
         their batches, and only then do schedulers stop, worker pools exit,
-        and shared-memory segments unlink.
+        and their shared-memory stats slabs unlink.
         """
         self.begin_drain()
         deadline = time.monotonic() + float(grace_seconds)
@@ -913,20 +925,17 @@ class ServeApp:
         self.close()
 
     def close(self) -> None:
-        """Stop schedulers, worker pools, and shared segments (in that order)."""
+        """Stop schedulers, then worker pools (which unlink their slabs)."""
         with self._lock:
             schedulers, self._schedulers = list(self._schedulers.values()), {}
         for scheduler in schedulers:
             scheduler.stop()
         with self._cluster_lock:
             dispatchers, self._dispatchers = list(self._dispatchers.values()), {}
-            store, self._store = self._store, None
             self._dispatcher_last_used.clear()
         for _, dispatcher in dispatchers:
             if dispatcher is not None:
                 dispatcher.close()
-        if store is not None:
-            store.close()
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -1159,7 +1168,7 @@ def run_server(
     ``SIGTERM`` triggers a graceful drain: ``/v1/readyz`` flips to 503 so a
     load balancer stops routing here, new ``/v1/predict`` calls answer 503
     ``draining``, in-flight requests finish, and only then do the worker
-    pools shut down and the shared-memory segments unlink.
+    pools shut down and their shared-memory stats slabs unlink.
     """
     server = create_server(
         app, host=host, port=port, verbose=verbose, log_level=log_level

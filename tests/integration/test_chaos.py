@@ -110,48 +110,3 @@ def test_fault_free_path_is_bit_identical_to_single_process(trained):
     finally:
         app.close()
     np.testing.assert_array_equal(response["labels"], engine.predict(queries))
-
-
-def test_eviction_churn_is_bit_identical(trained):
-    """Evict-during-dispatch and unlink-vs-attach races change nothing.
-
-    A plan that pages the bank out on a cadence (``evict``), force-unlinks
-    it under the live lease (``unlink``), and slows a cold restore
-    (``slow_load``) exercises the lease/generation protocol mid-stream; the
-    answers must stay bit-identical to single-process scoring, and the
-    restores must actually have happened.
-    """
-    sampler, engine = trained
-    queries = sampler.features[:48]
-    expected = engine.predict(queries)
-    before = _shm_names()
-    registry = ModelRegistry()
-    registry.register("ucihar", engine)
-    plan = FaultPlan(
-        rules=(
-            FaultRule(kind="evict", every=3),
-            FaultRule(kind="unlink", every=7, after=4),
-            FaultRule(kind="slow_load", every=11, after=6),
-        ),
-        seed=1,
-        slow_seconds=0.01,
-    )
-    app = ServeApp(
-        registry,
-        num_processes=2,
-        cache_size=0,
-        max_wait_ms=0.5,
-        fault_plan=plan,
-    )
-    try:
-        for start in range(0, len(queries), 4):
-            chunk = queries[start : start + 4]
-            answer = app.predict({"features": chunk.tolist()})
-            assert answer["labels"] == expected[start : start + 4].tolist()
-        fleet = app.metrics_snapshot()["fleet"]
-        assert fleet["evictions"] > 0
-        assert fleet["restores"] + fleet["bank_restores"] > 0
-    finally:
-        app.begin_drain()
-        app.drain(grace_seconds=10.0)
-    assert _shm_names() - before == set()

@@ -3,8 +3,9 @@
 The acceptance criterion for the cluster tier: for both a shared-rule
 classifier and a ``MultiModelHDC`` ensemble bank — each round-tripped through
 ``repro.io`` the way ``repro serve`` loads models — predictions produced by
-``ServeApp(num_processes=N)`` (shared-memory bank, sharded batches, merged
-scores) equal the single-process ``PackedInferenceEngine`` output exactly.
+``ServeApp(num_processes=N)`` (packed bank shipped in the worker spec,
+sharded batches, merged scores) equal the single-process
+``PackedInferenceEngine`` output exactly, whether the workers fork or spawn.
 Also covers the end-to-end soak wiring: ``repro.loadgen`` driving the
 cluster-backed app over HTTP.
 """
@@ -58,6 +59,25 @@ def test_dispatcher_parity_for_saved_models(saved_models, small_problem, name):
         assert np.array_equal(
             dispatcher.decision_scores(queries), engine.decision_scores(queries)
         )
+
+
+@pytest.mark.parametrize("name", ["baseline", "ensemble"])
+def test_spawned_workers_match_single_process(
+    saved_models, small_problem, name, monkeypatch
+):
+    """Under ``spawn`` the worker spec, packed bank included, is pickled
+    into each child; the unpickled words must score bit-identically."""
+    import repro.cluster.dispatcher as dispatcher_mod
+
+    monkeypatch.setattr(dispatcher_mod, "_default_start_method", lambda: "spawn")
+    queries = small_problem["test_features"]
+    engine = PackedInferenceEngine(load_model(saved_models[name]), name=name)
+    reference_labels, reference_scores = engine.top_k(queries, k=3)
+    with ClusterDispatcher(engine, num_workers=2) as dispatcher:
+        assert dispatcher.info()["start_method"] == "spawn"
+        labels, scores = dispatcher.top_k(queries, k=3)
+    assert np.array_equal(labels, reference_labels)
+    assert np.array_equal(scores, reference_scores)
 
 
 def test_serveapp_cluster_parity_and_crash_masking(saved_models, small_problem):

@@ -1,16 +1,18 @@
-"""Multi-tenant fleet integration: bank paging, admission, degradation.
+"""Multi-tenant fleet integration: pool residency, admission, degradation.
 
 These tests drive :class:`ServeApp` in-process the way the HTTP layer
 would, with many model names ("tenants") sharing one worker-pool budget, and
-assert the three fleet behaviours end to end: the residency cap pages banks
-in and out without changing answers, per-tenant admission sheds with typed
-429s, and a broken cold-load trips the circuit breaker into fast 503s.
+assert the three fleet behaviours end to end: the residency cap evicts and
+cold-loads worker pools without changing answers, per-tenant admission
+sheds with typed 429s, and a broken cold-load trips the circuit breaker
+into fast 503s.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +30,11 @@ def fleet_engine(small_problem):
     pipeline = HDCPipeline(encoder, BaselineHDC(seed=5))
     pipeline.fit(small_problem["train_features"], small_problem["train_labels"])
     return PackedInferenceEngine(pipeline, name="fleet")
+
+
+def _shm_names() -> set:
+    root = Path("/dev/shm")
+    return {entry.name for entry in root.iterdir()} if root.is_dir() else set()
 
 
 def _registry(engine, tenants):
@@ -61,7 +68,6 @@ class TestFleetPaging:
             fleet = app.metrics_snapshot()["fleet"]
             assert fleet["cold_loads"] >= 5
             assert fleet["evictions"] >= 3  # cap 2 forced paging
-            assert fleet["resident_banks"] <= 2
             assert fleet["dispatchers"] <= 2
             assert fleet["max_resident_banks"] == 2
         finally:
@@ -74,6 +80,7 @@ class TestFleetPaging:
         tenants = [f"t{i}" for i in range(4)]
         queries = small_problem["test_features"][:4]
         expected = fleet_engine.predict(queries).tolist()
+        shm_before = _shm_names()
         app = ServeApp(
             _registry(fleet_engine, tenants),
             num_processes=2,
@@ -103,8 +110,112 @@ class TestFleetPaging:
             for thread in threads:
                 thread.join()
             assert failures == []
+            fleet = app.metrics_snapshot()["fleet"]
+            assert fleet["evictions"] >= 1  # 4 tenants over a cap of 2
+            assert fleet["dispatchers"] <= 2
         finally:
             app.begin_drain()
+            app.drain(grace_seconds=10.0)
+        # Every stats slab the churn created (and closed by eviction) is
+        # unlinked once the app has drained.
+        assert _shm_names() - shm_before == set()
+
+
+class TestResidencyAccounting:
+    """``max_resident_banks`` means one thing: at most N live worker pools."""
+
+    def _app(self, engine, tenants, **kwargs):
+        kwargs.setdefault("num_processes", 2)
+        return ServeApp(
+            _registry(engine, tenants), cache_size=0, max_wait_ms=0.5, **kwargs
+        )
+
+    def _ask(self, app, name, queries):
+        return app.predict({"features": queries.tolist(), "model": name})
+
+    def test_each_cap_closure_counts_one_eviction(self, fleet_engine, small_problem):
+        queries = small_problem["test_features"][:2]
+        app = self._app(fleet_engine, ["a", "b", "c"], max_resident_banks=1)
+        try:
+            for name in ("a", "b", "c"):
+                self._ask(app, name, queries)
+            fleet = app.metrics_snapshot()["fleet"]
+            assert fleet["cold_loads"] == 3
+            assert fleet["evictions"] == 2
+            assert fleet["dispatchers"] == 1
+            assert list(app._dispatchers) == ["c"]
+            # The two closed pools each scored one 2-row batch as two
+            # 1-row shards; their counts survive in the fleet block.
+            assert fleet["retired"]["worker_requests"] == 4
+            assert fleet["retired"]["respawns"] == 0
+        finally:
+            app.drain(grace_seconds=10.0)
+
+    def test_recently_used_pool_survives_the_cap(self, fleet_engine, small_problem):
+        queries = small_problem["test_features"][:2]
+        app = self._app(fleet_engine, ["a", "b", "c"], max_resident_banks=2)
+        try:
+            self._ask(app, "a", queries)
+            self._ask(app, "b", queries)
+            self._ask(app, "a", queries)  # "b" is now least recently used
+            self._ask(app, "c", queries)
+            assert sorted(app._dispatchers) == ["a", "c"]
+            fleet = app.metrics_snapshot()["fleet"]
+            assert (fleet["cold_loads"], fleet["evictions"]) == (3, 1)
+        finally:
+            app.drain(grace_seconds=10.0)
+
+    def test_hot_swap_replacement_is_not_an_eviction(
+        self, fleet_engine, small_problem
+    ):
+        queries = small_problem["test_features"][:2]
+        registry = _registry(fleet_engine, ["a"])
+        app = ServeApp(
+            registry,
+            num_processes=2,
+            max_resident_banks=1,
+            cache_size=0,
+            max_wait_ms=0.5,
+        )
+        try:
+            self._ask(app, "a", queries)
+            registry.register("a", fleet_engine)  # promotes version 2
+            answer = self._ask(app, "a", queries)
+            assert answer["labels"] == fleet_engine.predict(queries).tolist()
+            fleet = app.metrics_snapshot()["fleet"]
+            assert fleet["cold_loads"] == 2
+            assert fleet["evictions"] == 0
+            assert fleet["dispatchers"] == 1
+        finally:
+            app.drain(grace_seconds=10.0)
+
+    def test_fleet_block_reports_live_pools_and_slabs(self, fleet_engine):
+        app = self._app(fleet_engine, ["a"], max_resident_banks=3)
+        try:
+            snapshot = app.metrics_snapshot()
+            assert snapshot["fleet"] == {
+                "cold_loads": 0,
+                "evictions": 0,
+                "dispatchers": 0,
+                "max_resident_banks": 3,
+                "retired": {},
+            }
+            assert snapshot["shared_memory"] == {"stats_slabs": 0}
+            app.engine_for("a")
+            snapshot = app.metrics_snapshot()
+            assert snapshot["fleet"]["dispatchers"] == 1
+            assert snapshot["shared_memory"] == {"stats_slabs": 2}
+        finally:
+            app.drain(grace_seconds=10.0)
+
+    def test_in_process_app_has_no_fleet_block(self, fleet_engine, small_problem):
+        app = self._app(fleet_engine, ["a"], num_processes=0)
+        try:
+            self._ask(app, "a", small_problem["test_features"][:2])
+            snapshot = app.metrics_snapshot()
+            assert "fleet" not in snapshot
+            assert "shared_memory" not in snapshot
+        finally:
             app.drain(grace_seconds=10.0)
 
 

@@ -13,7 +13,6 @@ from repro.classifiers.pipeline import HDCPipeline
 from repro.cluster import (
     ClusterDispatcher,
     DeadlineExceededError,
-    SharedModelStore,
     WorkerCrashedError,
 )
 from repro.faults import FaultPlan, FaultRule
@@ -114,39 +113,67 @@ class TestCrashRecovery:
             assert dispatcher.respawns == 1
 
 
+class TestStartMethod:
+    def test_fork_is_chosen_where_available(self, monkeypatch):
+        import repro.cluster.dispatcher as dispatcher_mod
+
+        monkeypatch.setattr(
+            dispatcher_mod.multiprocessing,
+            "get_all_start_methods",
+            lambda: ["fork", "spawn", "forkserver"],
+        )
+        assert dispatcher_mod._default_start_method() == "fork"
+        monkeypatch.setattr(
+            dispatcher_mod.multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+        assert dispatcher_mod._default_start_method() == "spawn"
+
+    def test_spawned_pool_respawns_after_a_crash(self, served, monkeypatch):
+        # A respawn under spawn pickles the worker spec (and its packed
+        # bank) into the replacement process again.
+        import repro.cluster.dispatcher as dispatcher_mod
+
+        monkeypatch.setattr(dispatcher_mod, "_default_start_method", lambda: "spawn")
+        engine, queries = served
+        with ClusterDispatcher(engine, num_workers=2) as dispatcher:
+            dispatcher.poison_worker(1)
+            labels, scores = dispatcher.top_k(queries, k=2)
+            expected_labels, expected_scores = engine.top_k(queries, k=2)
+            assert np.array_equal(labels, expected_labels)
+            assert np.array_equal(scores, expected_scores)
+            assert dispatcher.respawns == 1
+
+
 class TestCleanup:
     def test_close_stops_workers_and_unlinks_segment(self, served):
         engine, queries = served
         dispatcher = ClusterDispatcher(engine, num_workers=2)
-        segment = dispatcher._spec.bank_handle.segment
+        segments = [slab.name for slab in dispatcher._slabs]
         processes = [worker.process for worker in dispatcher._workers]
         dispatcher.top_k(queries[:4], k=1)
         dispatcher.close()
-        assert not _segment_exists(segment)
+        for segment in segments:
+            assert not _segment_exists(segment)
         for process in processes:
             assert not process.is_alive()
         with pytest.raises(RuntimeError, match="closed"):
             dispatcher.top_k(queries[:4], k=1)
         dispatcher.close()  # idempotent
 
-    def test_shared_store_refcounting_across_dispatchers(self, served):
+    def test_closed_pool_keeps_its_final_worker_counts(self, served):
         engine, queries = served
-        with SharedModelStore() as store:
-            first = ClusterDispatcher(engine, num_workers=1, store=store, name="m@v1")
-            second = ClusterDispatcher(engine, num_workers=1, store=store, name="m@v1")
-            segment = first._spec.bank_handle.segment
-            assert second._spec.bank_handle.segment == segment
-            first.close()
-            assert _segment_exists(segment)
-            labels, _ = second.top_k(queries[:4], k=1)
-            assert labels.shape == (4, 1)
-            second.close()
-            assert not _segment_exists(segment)
+        dispatcher = ClusterDispatcher(engine, num_workers=2)
+        dispatcher.top_k(queries[:4], k=1)
+        dispatcher.close()
+        fleet = dispatcher.fleet_stats()["fleet"]
+        assert fleet["requests"] == 2  # one shard per worker
+        assert fleet["samples"] == 4
 
     def test_info_shape(self, dispatcher):
         info = dispatcher.info()
         assert info["num_workers"] == 2
-        assert info["shared_bank_bytes"] > 0
+        assert info["bank_bytes"] == dispatcher._engine.packed_bank.storage_bytes
+        assert info["start_method"] in ("fork", "spawn")
         assert len(info["worker_pids"]) == 2
 
 
@@ -252,7 +279,6 @@ class TestFaultInjection:
                 "transport_errors",
                 "worker_faults",
                 "deadline_skips",
-                "bank_faults",
             }
             assert info["request_timeout"] == dispatcher.request_timeout
 

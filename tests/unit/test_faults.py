@@ -21,6 +21,9 @@ class TestFaultRule:
             FaultRule(kind="gremlin", at=1)
         with pytest.raises(ValueError, match="kind"):
             FaultRule(kind="torn", at=1)
+        for kind in ("evict", "unlink", "slow_load"):
+            with pytest.raises(ValueError, match="kind"):
+                FaultRule(kind=kind, at=1)
 
     def test_at_fires_exactly_once(self):
         rule = FaultRule(kind="crash", at=3)
@@ -105,20 +108,24 @@ class TestFaultPlan:
         assert seeded.seed == 42
 
     def test_presets_cover_every_kind(self):
-        from repro.faults import PARENT_KINDS, WORKER_KINDS
+        assert sorted(PRESETS) == ["quick", "soak"]
+        for name, plan in PRESETS.items():
+            kinds = {rule.kind for rule in plan.rules}
+            assert kinds == set(FAULT_KINDS), name
 
-        # The worker-chaos presets cover the whole worker taxonomy and the
-        # fleet-churn preset covers the whole parent taxonomy; together the
-        # named presets exercise every kind.
-        for name in ("quick", "soak"):
-            kinds = {rule.kind for rule in PRESETS[name].rules}
-            assert kinds == set(WORKER_KINDS), name
-        churn_kinds = {rule.kind for rule in PRESETS["evict-churn"].rules}
-        assert set(PARENT_KINDS) <= churn_kinds
-        all_kinds = {
-            rule.kind for plan in PRESETS.values() for rule in plan.rules
-        }
-        assert all_kinds == set(FAULT_KINDS)
+    def test_fleet_smoke_plan_string(self):
+        # The fleet smoke's plan: a light worker error/slow mix that fires
+        # from a worker's 2nd/3rd request, because under the residency cap a
+        # pool serves only a few requests before it is evicted.
+        plan = FaultPlan.from_spec("error:every=19:after=2;slow:every=23:after=3")
+        assert [(rule.kind, rule.every, rule.after) for rule in plan.rules] == [
+            ("error", 19, 2),
+            ("slow", 23, 3),
+        ]
+        injector = plan.injector(0)
+        draws = [injector.draw() for _ in range(26)]
+        assert [i + 1 for i, kind in enumerate(draws) if kind] == [2, 3, 21, 26]
+        assert injector.injected == {"error": 2, "slow": 2}
 
     def test_quick_preset_drops_worker_two_on_both_schedules(self):
         drops = [

@@ -459,7 +459,7 @@ class TestRetryPolicy:
 
 
 class TestFleetReport:
-    def _fleet_report(self, cold_loads=5, evictions=3, resident=4, cap=4):
+    def _fleet_report(self, cold_loads=5, evictions=3, dispatchers=4, cap=4):
         sampler = RequestSampler.from_arrays(
             np.zeros((4, 3)), seed=0, models=["a", "b"], zipf_s=1.1
         )
@@ -468,12 +468,8 @@ class TestFleetReport:
             "fleet": {
                 "cold_loads": 0,
                 "evictions": 0,
-                "restores": 0,
-                "bank_restores": 0,
-                "resident_banks": 0,
-                "peak_resident_banks": 0,
-                "max_resident": cap,
                 "dispatchers": 0,
+                "max_resident_banks": cap,
             },
         }
         after = {
@@ -481,12 +477,8 @@ class TestFleetReport:
             "fleet": {
                 "cold_loads": cold_loads,
                 "evictions": evictions,
-                "restores": 1,
-                "bank_restores": 0,
-                "resident_banks": resident,
-                "peak_resident_banks": max(resident, cap),
-                "max_resident": cap,
-                "dispatchers": resident,
+                "dispatchers": dispatchers,
+                "max_resident_banks": cap,
             },
         }
         from repro.loadgen.report import server_metrics_delta
@@ -504,12 +496,38 @@ class TestFleetReport:
             server_metrics=server_metrics_delta(before, after),
         )
 
+    def test_retired_pool_counters_keep_deltas_monotone(self):
+        from repro.loadgen.report import server_metrics_delta
+
+        pool = {
+            "respawns": 1,
+            "failures": {"worker_faults": 2},
+            "workers": {"fleet": {"requests": 10, "busy_seconds": 0.5}},
+        }
+        before = {"cluster": {"a@v1": pool}, "fleet": {"retired": {}}}
+        # "a@v1" was evicted; its final counters moved to the fleet block.
+        after = {
+            "cluster": {},
+            "fleet": {
+                "retired": {
+                    "respawns": 1,
+                    "worker_faults": 3,
+                    "worker_requests": 12,
+                    "worker_busy_seconds": 0.5,
+                }
+            },
+        }
+        delta = server_metrics_delta(before, after)
+        assert delta["worker_requests"] == 2
+        assert delta["worker_faults"] == 1
+        assert delta["respawns"] == 0
+
     def test_fleet_delta_and_config_recorded(self):
         report = self._fleet_report()
         delta = report["server_metrics_delta"]
         assert delta["cold_loads"] == 5
-        assert delta["bank_evictions"] == 3
-        assert delta["fleet_after"]["resident_banks"] == 4
+        assert delta["evictions"] == 3
+        assert delta["fleet_after"] == {"dispatchers": 4, "max_resident_banks": 4}
         assert report["config"]["models"] == 2
         assert report["config"]["zipf_s"] == 1.1
 
@@ -517,6 +535,20 @@ class TestFleetReport:
         from repro.loadgen import validate_fleet_report
 
         validate_fleet_report(self._fleet_report(), max_resident_banks=4)
+
+    def test_validate_fleet_report_accepts_pools_exactly_at_cap(self):
+        from repro.loadgen import validate_fleet_report
+
+        report = self._fleet_report(dispatchers=4, cap=4)
+        validate_fleet_report(report, max_resident_banks=4)
+        with pytest.raises(ValueError, match="dispatchers is 4"):
+            validate_fleet_report(report, max_resident_banks=3)
+
+    def test_format_report_shows_fleet_rows(self):
+        text = format_report(self._fleet_report(cold_loads=5, evictions=3))
+        assert "+5 cold loads, +3 evictions" in text
+        assert "4 live pools (cap 4)" in text
+        assert "restores" not in text
 
     def test_validate_fleet_report_rejects_vacuous_runs(self):
         from repro.loadgen import validate_fleet_report
@@ -527,7 +559,7 @@ class TestFleetReport:
             validate_fleet_report(self._fleet_report(evictions=0))
         with pytest.raises(ValueError, match="residency cap"):
             validate_fleet_report(
-                self._fleet_report(resident=6, cap=4), max_resident_banks=4
+                self._fleet_report(dispatchers=6, cap=4), max_resident_banks=4
             )
 
     def test_validate_fleet_report_requires_fleet_target(self):

@@ -41,10 +41,8 @@ def _snapshot(requests=100):
             },
         },
         "fleet": {
-            "resident_banks": 1,
-            "max_resident": 2,
+            "max_resident_banks": 2,
             "evictions": 3,
-            "restores": 2,
             "cold_loads": 5,
             "dispatchers": 1,
             "breakers": {"har": {"state": "closed"}},
@@ -127,11 +125,19 @@ class TestRenderView:
         assert "har" in text
         assert "ok" in text
         assert "DISPATCHER" in text
-        assert "banks=1/2" in text
+        assert "dispatchers=1/2" in text
         assert "evictions=3" in text
         assert "har=closed" in text
         assert "pipe_mb=2.1" in text
         assert "\x1b[" not in text  # color off ⇒ no ANSI escapes
+
+    def test_uncapped_fleet_shows_bare_pool_count(self):
+        snapshot = _snapshot()
+        snapshot["fleet"]["max_resident_banks"] = None
+        text = render_view(build_view(snapshot), color=False)
+        assert "dispatchers=1 " in text
+        assert "cold_loads=5" in text
+        assert "banks=" not in text and "restores=" not in text
 
     def test_transport_line_reports_the_pipe_only(self):
         (line,) = [

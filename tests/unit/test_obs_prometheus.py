@@ -48,7 +48,7 @@ def _snapshot():
         },
         "schedulers": {"har": {"queue_depth": 3}},
         "prediction_cache": {"entries": 7, "max_entries": 128},
-        "shared_memory": {"segments": 2, "resident_bytes": 4096, "stats_slabs": 2},
+        "shared_memory": {"stats_slabs": 2},
         "cluster": {
             "har": {
                 "respawns": 1,
@@ -68,6 +68,12 @@ def _snapshot():
                     "fleet": {"requests": 6, "busy_seconds": 2.5},
                 },
             },
+        },
+        "fleet": {
+            "cold_loads": 5,
+            "evictions": 3,
+            "dispatchers": 1,
+            "max_resident_banks": 2,
         },
         "slo": {
             "alert_burn_rate": 14.4,
@@ -129,12 +135,6 @@ repro_scheduler_queue_depth{model="har"} 3
 # HELP repro_prediction_cache_entries Resident LRU cache entries.
 # TYPE repro_prediction_cache_entries gauge
 repro_prediction_cache_entries 7
-# HELP repro_shm_segments Published shared-memory segments.
-# TYPE repro_shm_segments gauge
-repro_shm_segments 2
-# HELP repro_shm_resident_bytes Bytes of packed model banks resident in shared memory.
-# TYPE repro_shm_resident_bytes gauge
-repro_shm_resident_bytes 4096
 # HELP repro_cluster_respawns_total Worker respawns after crashes.
 # TYPE repro_cluster_respawns_total counter
 repro_cluster_respawns_total{dispatcher="har"} 1
@@ -153,6 +153,15 @@ repro_worker_busy_seconds_total{dispatcher="har",worker="0"} 2.5
 # HELP repro_worker_utilization Worker busy fraction since the dispatcher started.
 # TYPE repro_worker_utilization gauge
 repro_worker_utilization{dispatcher="har",worker="0"} 0.25
+# HELP repro_fleet_dispatchers Live cluster dispatchers (worker pools).
+# TYPE repro_fleet_dispatchers gauge
+repro_fleet_dispatchers 1
+# HELP repro_fleet_evictions_total Worker pools closed by the residency cap.
+# TYPE repro_fleet_evictions_total counter
+repro_fleet_evictions_total 3
+# HELP repro_fleet_cold_loads_total Dispatcher cold loads (evicted models rebuilt).
+# TYPE repro_fleet_cold_loads_total counter
+repro_fleet_cold_loads_total 5
 # HELP repro_slo_error_budget_remaining Fraction of the tenant's error budget left (1 = untouched).
 # TYPE repro_slo_error_budget_remaining gauge
 repro_slo_error_budget_remaining{tenant="har"} 0.75
@@ -207,6 +216,28 @@ class TestRender:
         assert 'repro_transport_frames_total{dispatcher="har",worker="0"} 6' in text
         assert 'worker="1"' not in text
         assert "shm" not in text and "socket" not in text and "ring" not in text
+
+    def test_fleet_block_renders_pool_counters_and_breakers(self):
+        text = render_prometheus(
+            {
+                "fleet": {
+                    "cold_loads": 4,
+                    "evictions": 2,
+                    "dispatchers": 2,
+                    "max_resident_banks": 2,
+                    "breakers": {"a": {"state": "open"}, "b": {"state": "closed"}},
+                }
+            }
+        )
+        validate_exposition(text)
+        samples = [line for line in text.splitlines() if not line.startswith("#")]
+        assert samples == [
+            "repro_fleet_dispatchers 2",
+            "repro_fleet_evictions_total 2",
+            "repro_fleet_cold_loads_total 4",
+            'repro_model_breaker_open{model="a"} 1',
+            'repro_model_breaker_open{model="b"} 0',
+        ]
 
     def test_empty_snapshot_renders_empty(self):
         assert render_prometheus({}) == ""

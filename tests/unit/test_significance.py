@@ -1,7 +1,14 @@
 """Unit tests for repro.eval.significance."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.eval.significance import (
     mcnemar_test,
@@ -94,3 +101,19 @@ class TestWilsonInterval:
             wilson_interval(11, 10)
         with pytest.raises(ValueError):
             wilson_interval(5, 10, confidence=1.0)
+
+
+def test_package_imports_without_scipy():
+    # scipy is a test/eval dependency only: importing the package and its
+    # CLI (every ``repro serve`` launch) must work where it is absent.
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys; sys.modules['scipy'] = None; "
+        "import repro, repro.cli; "
+        "assert 'scipy.stats' not in sys.modules"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
